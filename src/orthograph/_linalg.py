@@ -74,10 +74,12 @@ def sigma_max(m: np.ndarray) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Accurate operator (spectral) norm of a single matrix."""
+    """Accurate operator (spectral) norm of a single matrix: the largest
+    singular value, as ``np.linalg.norm(m, 2)`` computes it, without that
+    wrapper's per-call axis handling."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:

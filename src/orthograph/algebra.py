@@ -6,7 +6,9 @@ An algebra is described by an :class:`AlgebraShape`, a list of block sizes
 :class:`Element`.  The operator norm of an element is the maximum of the
 block operator norms, which equals the spectral norm of the assembled
 block-diagonal matrix.  All operations are pure; elements are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads (derived data an element
+memoizes is a pure function of its read-only blocks, so a race at worst
+derives it twice).
 """
 
 import json
@@ -122,15 +124,25 @@ def _as_blocks(shape: AlgebraShape, blocks) -> tuple[np.ndarray, ...]:
             raise ShapeMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"block {i} contains non-finite entries")
-        a = a.copy()
-        a.setflags(write=False)
-        out.append(a)
+        out.append(_read_only(a.copy()))
     return tuple(out)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class Element:
-    """A block-diagonal complex matrix, the resident of the algebra."""
+    """A block-diagonal complex matrix, the resident of the algebra.
+
+    Blocks are read-only copies, so data derived from them is computed at
+    most once and kept on the element: the norm, the normalized blocks and
+    normalized assembled matrix, and (in :mod:`orthograph.orthogonality`)
+    the norm-attaining basis and singular gap for each ``tol.eig``.  Every
+    operation returns a new element with nothing memoized.
+    """
 
     shape: AlgebraShape
     blocks: tuple[np.ndarray, ...]
@@ -140,6 +152,14 @@ class Element:
             shape = AlgebraShape(shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", _as_blocks(shape, blocks))
+        object.__setattr__(self, "_memo", {})
+
+    def _cached(self, key, derive):
+        """The value of ``derive()``, computed on first use of ``key``."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = derive()
+        return memo[key]
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -215,7 +235,17 @@ class Element:
         return out
 
     def norm(self) -> float:
-        return max(_linalg.opnorm(b) for b in self.blocks)
+        return self._cached("norm", lambda: max(_linalg.opnorm(b) for b in self.blocks))
+
+    def normalized_blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only blocks of a / ||a|| (nonzero elements only)."""
+        return self._cached(
+            "normalized_blocks", lambda: tuple(_read_only(b / self.norm()) for b in self.blocks)
+        )
+
+    def normalized_matrix(self) -> np.ndarray:
+        """Read-only assembled matrix of a / ||a|| (nonzero elements only)."""
+        return self._cached("normalized_matrix", lambda: _read_only(self.assemble() / self.norm()))
 
     def is_zero(self) -> bool:
         return all(np.all(b == 0) for b in self.blocks)
@@ -489,22 +519,20 @@ def projective_equal(a: Element, b: Element, tol: Tolerances = DEFAULT_TOLERANCE
 #   { "shape": [n1, ...], "blocks": [ [[[re, im], ...], ...], ... ] }
 # with one row-major matrix of [re, im] pairs per block.
 
-def element_to_json(a: Element) -> str:
-    payload = {
+def _element_payload(a: Element) -> dict:
+    """The JSON-ready payload of an element; graph files and the CLI's JSON
+    reports embed one per element."""
+    return {
         "shape": list(a.shape.blocks),
         "blocks": [
             [[[float(z.real), float(z.imag)] for z in row] for row in blk]
             for blk in a.blocks
         ],
     }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def element_from_json(text: str) -> Element:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+def _element_from_payload(payload) -> Element:
+    """Inverse of :func:`_element_payload`; raises ``ParseError``."""
     try:
         shape = AlgebraShape(payload["shape"])
         blocks = []
@@ -514,6 +542,18 @@ def element_from_json(text: str) -> Element:
         return Element(shape, blocks)
     except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise ParseError(f"malformed element payload: {exc}") from exc
+
+
+def element_to_json(a: Element) -> str:
+    return json.dumps(_element_payload(a), separators=(",", ":"), sort_keys=True)
+
+
+def element_from_json(text: str) -> Element:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    return _element_from_payload(payload)
 
 
 def save_element(a: Element, path) -> None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     Element,
     Tolerances,
+    _element_payload,
     element_to_json,
     is_right_invertible,
     load_element,
@@ -273,7 +274,7 @@ def cmd_witness(args) -> int:
     payload = {
         "command": "witness",
         "result": "witness",
-        "witness": json.loads(element_to_json(w)),
+        "witness": _element_payload(w),
         "margins": [m.forward.margin, m.backward.margin],
     }
     _emit(payload, cfg.fmt, [
@@ -305,7 +306,7 @@ def cmd_path(args) -> int:
     payload = {
         "command": "path",
         "length": path.length,
-        "vertices": [json.loads(element_to_json(v)) for v in path.vertices],
+        "vertices": [_element_payload(v) for v in path.vertices],
         "edge_margins": margins,
     }
     lines = [f"path of length {path.length}"]

@@ -19,7 +19,8 @@ from .algebra import (
     AlgebraShape,
     Element,
     Tolerances,
-    element_from_json,
+    _element_from_payload,
+    _element_payload,
     is_right_invertible,
     projective_equal,
 )
@@ -277,16 +278,6 @@ def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, dist
 # export / import
 
 
-def _element_payload(a: Element):
-    return {
-        "shape": list(a.shape.blocks),
-        "blocks": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in blk]
-            for blk in a.blocks
-        ],
-    }
-
-
 def graph_to_json(g: Orthograph) -> str:
     payload = {
         "format_version": GRAPH_FORMAT_VERSION,
@@ -308,9 +299,7 @@ def graph_from_json(text: str) -> Orthograph:
         if payload["format_version"] != GRAPH_FORMAT_VERSION:
             raise ParseError(f"unsupported format_version {payload['format_version']}")
         shape = AlgebraShape(payload["shape"])
-        vertices = tuple(
-            element_from_json(json.dumps(v)) for v in payload["vertices"]
-        )
+        vertices = tuple(_element_from_payload(v) for v in payload["vertices"])
         adj = np.array(payload["adjacency"], dtype=bool)
         if adj.shape != (len(vertices), len(vertices)):
             raise ParseError("adjacency size does not match vertex count")

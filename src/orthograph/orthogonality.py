@@ -24,6 +24,25 @@ The margins of the three regimes are arranged so that |margin| <= 2*tol.orth
 is exactly the indeterminate band: clean interior decisions carry margin f,
 boundary-exact orthogonal pairs carry 3*tol.orth - delta, and failures carry
 -delta.
+
+Strong form in closed form.  Against the direction y = b b* a the
+compression T = V* (a* b b* a) V / (||a|| ||b b* a||), V an orthonormal
+basis of the norm-attaining space of a, is Hermitian positive semidefinite.
+Its numerical range is therefore the segment [lambda_min, lambda_max], and
+the support functional of step 1 is exactly f = -max(lambda_min(T), 0): one
+eigendecomposition of the Hermitian part of T replaces the sweep over theta.
+The witness vector is the bottom eigenvector of T lifted by V; it attains the
+norm of a and its pairing with b b* a is ||a|| ||b b* a|| lambda_min(T).
+This is the matrix case of strong Birkhoff-James orthogonality in Hilbert
+C*-modules (Arambasic-Rajic 2014): a is strongly orthogonal to b iff some
+unit vector xi in the norm-attaining space of a has b* a xi = 0.  The sweep
+and the convexity-based witness construction serve the plain form only.
+
+Because f <= 0, a non-vacuous strong True verdict never reaches the interior
+regime: it is decided on the boundary, by the fast-true rule or by the
+minimizer.  On the fast-true rule its margin is the boundary formula
+3*tol.orth - (tol.eig + 2.2*max(0, -f)), at most 2.9e-7 at default
+tolerances, only 0.9e-7 outside the tie band.
 """
 
 from dataclasses import dataclass
@@ -137,17 +156,24 @@ class MutualDecision:
 # support functional of the compressed numerical range
 
 
-def _attaining_basis(xm: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the norm-attaining cluster of a normalized
-    matrix, plus the relative singular gap 1 - sigma_next below the cluster
-    (1.0 when the cluster is everything)."""
-    gram = _linalg.hermitian_part(xm.conj().T @ xm)
-    w, u = np.linalg.eigh(gram)
-    top = w[-1]
-    inside = w >= top * (1.0 - tol.eig)
-    rest = w[~inside]
-    gap = 1.0 if rest.size == 0 else 1.0 - np.sqrt(max(float(rest[-1]), 0.0) / top)
-    return u[:, inside], gap
+def _attaining_basis(x: Element, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the norm-attaining cluster of x / ||x||, plus the
+    relative singular gap 1 - sigma_next below the cluster (1.0 when the
+    cluster is everything).  Derived once per ``tol.eig`` and kept on x."""
+
+    def derive():
+        xm = x.normalized_matrix()
+        gram = _linalg.hermitian_part(xm.conj().T @ xm)
+        w, u = np.linalg.eigh(gram)
+        top = w[-1]
+        inside = w >= top * (1.0 - tol.eig)
+        rest = w[~inside]
+        gap = 1.0 if rest.size == 0 else 1.0 - np.sqrt(max(float(rest[-1]), 0.0) / top)
+        basis = u[:, inside]
+        basis.setflags(write=False)
+        return basis, gap
+
+    return x._cached(("attaining_basis", tol.eig), derive)
 
 
 def _sweep_support(t: np.ndarray) -> float:
@@ -330,7 +356,7 @@ def _accurate_value(xb, yb, lam: complex) -> float:
     return max(_linalg.opnorm(bx + lam * by) for bx, by in zip(xb, yb))
 
 
-def _minimize_drop(xb: list[np.ndarray], yb: list[np.ndarray]) -> tuple[complex, float]:
+def _minimize_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tuple[complex, float]:
     """min over |lam| <= 2 of max-block ||x + lam y|| for normalized inputs.
 
     Any improving lam satisfies |lam| <= 2 because ||lam y|| cannot exceed
@@ -377,40 +403,27 @@ def _vacuous_true(norm_x: float) -> OrthDecision:
     )
 
 
-def bj_orthogonal(
+def _decide(
     x: Element,
     y: Element,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    want_certificate: bool = True,
+    v: np.ndarray,
+    f: float,
+    gap: float,
+    witness,
+    tol: Tolerances,
+    want_certificate: bool,
 ) -> OrthDecision:
-    """Decide whether ||x + lam y|| >= ||x|| for every complex lam."""
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    nx = x.norm()
-    if nx == 0.0:
-        raise ZeroElement("orthogonality is undefined for the zero element")
-    ny = y.norm()
-    if ny == 0.0:
-        return _vacuous_true(nx)
-
-    xb = [b / nx for b in x.blocks]
-    yb = [b / ny for b in y.blocks]
-    xm = x.assemble() / nx
-    ym = y.assemble() / ny
-    v, gap = _attaining_basis(xm, tol)
-    t = v.conj().T @ xm.conj().T @ ym @ v
-    f = _sweep_support(t)
-
+    """Steps 2-3 of the decision procedure for nonzero x, y, given the
+    attaining basis v of x, the support value f and the singular gap.
+    ``witness()`` returns the compressed vector a True certificate lifts."""
     if f > 2.0 * tol.orth:
-        cert = None
-        if want_certificate:
-            cert = _make_witness(x, y, v, t)
+        cert = _make_witness(x, y, v, witness()) if want_certificate else None
         return OrthDecision(True, float(f), False, cert, support_min=float(f), drop=None)
 
     drop_bound = tol.eig + 2.2 * _FAST_TRUE_CUT
     if f >= -_FAST_TRUE_CUT and drop_bound <= 0.5 * tol.orth:
         margin = 3.0 * tol.orth - (tol.eig + 2.2 * max(0.0, -f))
-        cert = _make_witness(x, y, v, t) if want_certificate else None
+        cert = _make_witness(x, y, v, witness()) if want_certificate else None
         return OrthDecision(True, float(margin), False, cert, support_min=float(f), drop=None)
 
     # sound only when the guaranteed drop min(f^2/2, gap/2) clears the band,
@@ -424,9 +437,10 @@ def bj_orthogonal(
         est = 1.0 - np.sqrt(max(0.0, 1.0 - f * f))
         return OrthDecision(False, -float(est), False, None, support_min=float(f), drop=None)
 
-    lam_n, achieved_n = _minimize_drop(xb, yb)
+    lam_n, achieved_n = _minimize_drop(x.normalized_blocks(), y.normalized_blocks())
     drop = max(0.0, 1.0 - achieved_n)
-    lam = lam_n * nx / ny
+    nx = x.norm()
+    lam = lam_n * nx / y.norm()
     achieved = achieved_n * nx
 
     if drop <= 0.5 * tol.orth:
@@ -442,7 +456,7 @@ def bj_orthogonal(
     cert = None
     if want_certificate:
         if verdict:
-            cert = _make_witness(x, y, v, t)
+            cert = _make_witness(x, y, v, witness())
             if cert is None:
                 cert = MinimizingScalar(lam, achieved)
         else:
@@ -451,21 +465,40 @@ def bj_orthogonal(
     return OrthDecision(verdict, float(margin), indet, cert, support_min=float(f), drop=float(drop))
 
 
-def _make_witness(x: Element, y: Element, v_basis: np.ndarray, t: np.ndarray) -> WitnessVector | None:
-    vc = _attain_zero(t)
+def _make_witness(x: Element, y: Element, v_basis: np.ndarray, vc: np.ndarray) -> WitnessVector | None:
+    """Lift the compressed vector vc by the attaining basis and record what
+    it attains against the unnormalized operands."""
     vec = v_basis @ vc
     nv = np.linalg.norm(vec)
     if nv < 1e-12:
         return None
     vec = vec / nv
-    xm = x.assemble()
-    ym = y.assemble()
-    xv = xm @ vec
+    xv = x.assemble() @ vec
     return WitnessVector(
         vector=vec,
         attained_norm=float(np.linalg.norm(xv)),
-        pairing=complex(np.vdot(xv, ym @ vec)),
+        pairing=complex(np.vdot(xv, y.assemble() @ vec)),
     )
+
+
+def bj_orthogonal(
+    x: Element,
+    y: Element,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    want_certificate: bool = True,
+) -> OrthDecision:
+    """Decide whether ||x + lam y|| >= ||x|| for every complex lam."""
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"{x.shape} vs {y.shape}")
+    nx = x.norm()
+    if nx == 0.0:
+        raise ZeroElement("orthogonality is undefined for the zero element")
+    if y.norm() == 0.0:
+        return _vacuous_true(nx)
+    v, gap = _attaining_basis(x, tol)
+    t = v.conj().T @ x.normalized_matrix().conj().T @ y.normalized_matrix() @ v
+    f = _sweep_support(t)
+    return _decide(x, y, v, f, gap, lambda: _attain_zero(t), tol, want_certificate)
 
 
 def strong_bj(
@@ -476,18 +509,24 @@ def strong_bj(
 ) -> OrthDecision:
     """Decide ||a + b c|| >= ||a|| for every algebra element c.
 
-    Reduces exactly to the scalar decision against the direction b b* a.
-    When that direction vanishes (below ``tol.ker`` relative to the operand
-    scales) the statement is vacuously true and the margin is ||a||.
+    Reduces exactly to the scalar decision against the direction z = b b* a,
+    whose compression T is positive semidefinite, so the support functional
+    is -lambda_min(T) in closed form (see the module docstring).  When z
+    vanishes (below ``tol.ker`` relative to the operand scales) the statement
+    is vacuously true and the margin is ||a||.
     """
     na = a.norm()
     if na == 0.0:
         raise ZeroElement("orthogonality is undefined for the zero element")
-    z = b @ b.adjoint() @ a
+    z = strong_direction(a, b)
     nb = b.norm()
     if z.norm() <= tol.ker * nb * nb * na:
         return _vacuous_true(na)
-    return bj_orthogonal(a, z, tol, want_certificate)
+    v, gap = _attaining_basis(a, tol)
+    t = v.conj().T @ a.normalized_matrix().conj().T @ z.normalized_matrix() @ v
+    w, u = np.linalg.eigh(_linalg.hermitian_part(t))
+    f = min(-float(w[0]), 0.0)
+    return _decide(a, z, v, f, gap, lambda: u[:, 0], tol, want_certificate)
 
 
 def mutual_strong(
@@ -628,4 +667,6 @@ def verify_certificate(
 
 def strong_direction(a: Element, b: Element) -> Element:
     """The reduced direction b b* a used by the strong-form decision."""
-    return b @ b.adjoint() @ a
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+    return Element(a.shape, [bb @ bb.conj().T @ ba for ba, bb in zip(a.blocks, b.blocks)])

@@ -290,8 +290,8 @@ def connect_direct_sum(
     Depending on which components are not approximately right invertible, the
     construction either crosses summands through (a', 0) and (0, b') in at
     most three edges, or lifts a path built inside one summand.  Candidates
-    are tried shortest first with full per-edge verification; the plain
-    :func:`connect` on the whole algebra is kept as a final fallback.
+    are tried shortest first with full per-edge verification; the candidates
+    of the plain :func:`connect` on the whole algebra are kept as a fallback.
     """
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
@@ -368,10 +368,11 @@ def connect_direct_sum(
     if _not_approx_right_invertible(a1, tol) and _not_approx_right_invertible(a2, tol):
         same_side_case(a1, a2, lift_a)
 
+    # connect's own candidates, nondecreasing in length: after the stable
+    # sort the first one that holds is the chain connect(x, y) would return
     if not shape.is_small():
         try:
-            fallback = connect(x, y, tol)
-            candidates.append(list(fallback.vertices[1:-1]))
+            candidates.extend(_middle_candidates(x, y, tol))
         except VerificationFailed:
             pass
 

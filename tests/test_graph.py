@@ -187,3 +187,38 @@ def test_sample_vertices_mix():
     assert len(verts) == 20
     deficient = sum(1 for v in verts if not is_right_invertible(v))
     assert deficient >= 12  # 40% deficient + 30% projections + 20% witnesses
+
+
+# Vertex count, edge list and tie-band pairs of `orthograph graph` runs,
+# recorded before the strong form was decided in closed form.  Performance
+# work must not move a single verdict on these seeds.
+_ORTHO3_EDGES_SEED0 = [
+    (0, 4), (0, 6), (0, 15), (0, 18), (0, 19), (1, 8), (2, 10), (3, 12), (4, 16),
+    (6, 7), (6, 9), (6, 11), (6, 16), (7, 8), (8, 13), (8, 14), (8, 15), (9, 10),
+    (10, 13), (10, 17), (10, 18), (11, 12), (12, 14), (12, 17), (12, 19), (15, 16),
+    (16, 18), (16, 19),
+]
+_ORTHO3_EDGES_SEED1 = [e for e in _ORTHO3_EDGES_SEED0 if e not in ((0, 15), (0, 18), (0, 19))]
+PINNED_GRAPHS = [
+    (("3", 6, 0, True), 20, _ORTHO3_EDGES_SEED0, []),
+    (("3", 6, 1, True), 20, _ORTHO3_EDGES_SEED1, []),
+    (("3", 6, 2, True), 20, _ORTHO3_EDGES_SEED0, []),
+    (("8,8,8,8", 4, 0, False), 4, [(0, 3)], []),
+    (("8,8,8,8", 4, 1, False), 4, [(0, 3)], []),
+]
+
+
+@pytest.mark.parametrize("job,order,edges,indeterminate", PINNED_GRAPHS)
+def test_graph_command_verdicts_pinned(job, order, edges, indeterminate, tmp_path, capsys):
+    from orthograph.cli import main
+
+    shape, samples, seed, augment = job
+    argv = ["graph", "--shape", shape, "--samples", str(samples), "--seed", str(seed),
+            "--out", str(tmp_path), "--format", "json"]
+    assert main(argv + (["--augment"] if augment else [])) == 0
+    capsys.readouterr()
+    g = graph_from_json((tmp_path / "graph.json").read_text())
+    assert g.order == order
+    got = [(i, j) for i in range(g.order) for j in range(i + 1, g.order) if g.adjacency[i, j]]
+    assert got == edges
+    assert [list(p) for p in g.indeterminate_pairs] == indeterminate

@@ -285,3 +285,116 @@ def test_ambient_invariance_spot(rng):
             d = strong_bj(embed(a, 0, big), embed(b, 0, big), want_certificate=False)
             if not d.indeterminate:
                 assert d.verdict == base.verdict
+
+
+# ------------------------------------------------- strong form, closed form
+
+
+def _strong_pairs(count_per_shape=52):
+    from orthograph import non_isolated_witness
+
+    kinds = ("deficient:1", "projection:1", "full", "deficient:2")
+    for shape in ([3], [4], [2, 3], [4, 5]):
+        for i in range(count_per_shape):
+            a = sample_element(shape, kinds[i % 4], 5000 + i)
+            if i % 5 == 4 and i % 4 != 2:
+                b = non_isolated_witness(a)
+                if i % 10 == 9:  # push the witness off the orthogonal pair
+                    g = sample_element(shape, "full", 5500 + i)
+                    b = b + (10.0 ** -(2 + i % 7) * b.norm() / g.norm()) * g
+            else:
+                b = sample_element(shape, kinds[(i // 4) % 4], 6000 + i)
+            yield a, b
+
+
+def test_strong_support_is_minus_lambda_min_of_the_compression():
+    from orthograph._linalg import hermitian_part
+    from orthograph.orthogonality import _attaining_basis, _sweep_support
+
+    checked = 0
+    for a, b in _strong_pairs():
+        z = strong_direction(a, b)
+        if z.norm() == 0.0:
+            continue
+        v, _ = _attaining_basis(a, TOL)
+        t = v.conj().T @ a.normalized_matrix().conj().T @ z.normalized_matrix() @ v
+        closed = -np.linalg.eigvalsh(hermitian_part(t))[0]
+        assert abs(closed - _sweep_support(t)) <= 1e-12
+        d = strong_bj(a, b, want_certificate=False)
+        if d.support_min is not None:
+            assert d.support_min == min(closed, 0.0)
+        checked += 1
+    assert checked >= 200
+
+
+def test_strong_agrees_with_plain_form_against_the_direction():
+    compared = 0
+    for a, b in _strong_pairs(20):
+        ds = strong_bj(a, b, want_certificate=False)
+        if ds.support_min is None:
+            continue  # the vacuous cut on ||b b* a|| belongs to the strong form
+        dp = bj_orthogonal(a, strong_direction(a, b), want_certificate=False)
+        assert abs(ds.support_min - dp.support_min) <= 1e-12
+        if not (ds.indeterminate or dp.indeterminate):
+            assert ds.verdict == dp.verdict
+            compared += 1
+    assert compared >= 60
+
+
+def test_strong_certificates_reverify_and_match_uncertified_verdicts():
+    regimes = set()
+    for a, b in _strong_pairs(16):
+        plain = mutual_strong(a, b, want_certificate=False)
+        cert = mutual_strong(a, b)
+        assert plain.verdicts == cert.verdicts
+        assert plain.indeterminate == cert.indeterminate
+        for d, x, y in ((cert.forward, a, b), (cert.backward, b, a)):
+            z = strong_direction(x, y)
+            assert verify_certificate(d, x, z)
+            if d.support_min is None:
+                continue
+            assert d.support_min <= 0.0  # so the interior regime never fires
+            if isinstance(d.certificate, WitnessVector) and d.drop is None:
+                # bottom eigenvector of the compression: pairing within the
+                # fast-true cut of zero
+                assert abs(d.certificate.pairing) <= 1.1e-9 * x.norm() * z.norm()
+            regimes.add((d.verdict, d.drop is None))
+    assert regimes == {(True, True), (True, False), (False, False)}
+
+
+def test_memoized_norm_does_not_leak_into_derived_elements(rng):
+    a = random_element([2, 3], rng)
+    b = random_element([2, 3], rng)
+    na = a.norm()
+    assert a.norm() is na
+    for el in (2 * a, a.adjoint(), a @ b, a + b, -a):
+        want = np.linalg.norm(el.assemble(), 2)
+        assert el.norm() == pytest.approx(want, rel=1e-12)
+    assert (2 * a).norm() == pytest.approx(2 * na, rel=1e-12)
+    assert a.normalized_matrix() == pytest.approx(a.assemble() / na)
+    with pytest.raises(ValueError):
+        a.normalized_blocks()[0][0, 0] = 0.0
+
+
+def test_attaining_basis_is_kept_per_eig_tolerance():
+    from orthograph import Tolerances
+    from orthograph.orthogonality import _attaining_basis
+
+    # sigma_2 = 1 - 1e-6 joins the attaining cluster only under the loose eig
+    def pair():
+        return (Element([3], [np.diag([1.0, 1.0 - 1e-6, 0.3])]),
+                Element([3], [np.diag([1.0, 0.0, 0.0])]))
+
+    tight, loose = TOL, Tolerances(eig=1e-5, orth=1e-4)
+    a, b = pair()
+    assert _attaining_basis(a, tight)[0].shape[1] == 1
+    assert _attaining_basis(a, loose)[0].shape[1] == 2
+    for want_certificate in (False, True):
+        a, b = pair()
+        reused = [strong_bj(a, b, tol, want_certificate) for tol in (tight, loose, tight)]
+        fresh = [strong_bj(*pair(), tol, want_certificate) for tol in (tight, loose, tight)]
+        for r, f in zip(reused, fresh):
+            assert (r.verdict, r.margin, r.indeterminate, r.support_min, r.drop) == (
+                f.verdict, f.margin, f.indeterminate, f.support_min, f.drop)
+        # the two tolerances really do reach different regimes here
+        assert reused[0].support_min != reused[1].support_min
