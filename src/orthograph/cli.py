@@ -9,7 +9,8 @@ atomically (temp file + rename).
 Exit codes for check: 0 orthogonal (or mutually orthogonal), 1 not,
 2 indeterminate (tie band), 3 parse error, 4 usage/config error.
 witness: 0 witness found, 1 isolated.  path: 0 success, 1 excluded small
-shape, 2 right-invertible endpoint.
+shape, 2 right-invertible endpoint.  Any other error, from the library or
+internal (e.g. a failed LAPACK call), exits with 5, never a verdict code.
 """
 
 import argparse
@@ -476,8 +477,9 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except OrthographError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # library errors and internal ones alike
+        kind = "error" if isinstance(exc, OrthographError) else f"internal error: {type(exc).__name__}"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 5
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +198,38 @@ def test_gen_stdout_deterministic(capsys):
     code, out1, _ = run(capsys, ["gen", "--shape", "3", "--seed", "4"])
     code, out2, _ = run(capsys, ["gen", "--shape", "3", "--seed", "4"])
     assert code == 0 and out1 == out2
+
+
+# --------------------------------------------------------- internal errors
+
+
+def _raise_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("check", "mutual_strong"),
+    ("witness", "non_isolated_witness"),
+    ("path", "connect"),
+])
+def test_internal_error_exit_code(command, target, files, capsys, monkeypatch):
+    # 1 is a verdict for all three commands; a crash must not read as one
+    monkeypatch.setattr(f"orthograph.cli.{target}", _raise_linalg)
+    argv = [command, files["e11"]] + ([files["e22"]] if command != "witness" else [])
+    code, _, err = run(capsys, argv)
+    assert code == 5
+    assert err.startswith("internal error: LinAlgError")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import orthograph
+
+    src = os.path.dirname(os.path.dirname(orthograph.__file__))
+    probe = "import sys, orthograph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------------- config

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,15 @@ def test_decision_invariants_on_random_pairs(rng):
             assert isinstance(d.certificate, MinimizingScalar)
             assert d.certificate.achieved < a.norm() * (1 - TOL.orth)
         assert verify_certificate(d, a, b)
+
+
+def test_false_certificate_must_show_a_norm_drop():
+    x = y = e11_m2()
+    d = bj_orthogonal(x, y)
+    assert not d.verdict and verify_certificate(d, x, y)
+    # lam = 0 reproduces ||x|| exactly, but shows no drop: not a rejection
+    fake = replace(d, certificate=MinimizingScalar(0j, x.norm()))
+    assert not verify_certificate(fake, x, y)
 
 
 # ----------------------------------------------------------- tie band
@@ -235,6 +246,39 @@ def test_perturbed_orthogonal_pairs(rng):
         big = w + (0.1 * w.norm() / g.norm()) * g
         d = strong_bj(a, big, want_certificate=False)
         assert not d.indeterminate or d.drop is not None
+
+
+def _ambiguous_pairs():
+    """(a, w + eps g) with w the constructive neighbour of a and g a full
+    element: pairs pushed off an edge by eps in 1e-3 ... 1e-8, so that many
+    directional decisions fall between the fast rules and reach the
+    minimizer."""
+    from orthograph import non_isolated_witness
+
+    for si, shape in enumerate(([3], [4], [2, 3], [4, 5])):
+        for e in range(3, 9):
+            for i in range(3):
+                seed = 7000 + 100 * si + 10 * e + i
+                a = sample_element(shape, "deficient:1", seed)
+                w = non_isolated_witness(a)
+                g = sample_element(shape, "full", seed + 5000)
+                yield a, w + (10.0 ** -e * w.norm() / g.norm()) * g
+
+
+def test_minimizer_regime_agrees_with_the_oracle():
+    reached = 0
+    for a, b in _ambiguous_pairs():
+        for x, y in ((a, b), (b, a)):
+            d = strong_bj(x, y, want_certificate=False)
+            if d.drop is None:
+                continue
+            reached += 1
+            _, achieved = brute_force_min_lambda(x, strong_direction(x, y))
+            # the minimizer finds at least the oracle's drop
+            assert 1.0 - achieved / x.norm() <= d.drop + 1e-12
+            if not d.indeterminate:
+                assert (achieved >= x.norm() * (1 - TOL.orth)) == d.verdict
+    assert reached >= 40
 
 
 def test_interior_witness_on_traceless_direction(rng):
