@@ -133,11 +133,3 @@ def orthonormal_complement(vectors: list[np.ndarray], n: int) -> np.ndarray:
 
 def rank_one(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
-
-
-def range_projection_matrix(h: np.ndarray, threshold: float) -> np.ndarray:
-    """Projection onto the span of eigenvectors of Hermitian ``h`` with
-    eigenvalue strictly above ``threshold``."""
-    w, u = np.linalg.eigh(hermitian_part(h))
-    cols = u[:, w > threshold]
-    return cols @ cols.conj().T

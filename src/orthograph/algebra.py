@@ -222,9 +222,6 @@ class Element:
     def adjoint(self) -> "Element":
         return Element(self.shape, [b.conj().T for b in self.blocks])
 
-    def scale(self, scalar) -> "Element":
-        return self * scalar
-
     # --- structure -----------------------------------------------------
     def assemble(self) -> np.ndarray:
         """Dense block-diagonal matrix of size total_dim x total_dim."""

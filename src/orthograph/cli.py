@@ -91,7 +91,6 @@ _TOL_KEYS = {
     "tol_ker": "ker",
     "tol_orth": "orth",
 }
-_PLAIN_KEYS = ("seed", "samples", "shape", "split", "augment", "out")
 
 
 def _load_config_file(path: str) -> dict:

@@ -587,11 +587,16 @@ def projection_witness_check(
     return defect_a <= tol.orth and defect_b <= tol.orth
 
 
-def _batch_value(xb: list[np.ndarray], yb: list[np.ndarray], lams: np.ndarray) -> np.ndarray:
+def _batch_value(grams: list[tuple[np.ndarray, np.ndarray, np.ndarray]], lams: np.ndarray) -> np.ndarray:
+    """max over blocks of sigma_max(x + lam y) for each lam, from each block's
+    Hermitian x*x, y*y and x*y: (x + lam y)*(x + lam y) is
+    x*x + |lam|^2 y*y + lam x*y + (lam x*y)*, so no per-point product."""
     vals = None
-    for bx, by in zip(xb, yb):
-        stack = bx[None, :, :] + lams[:, None, None] * by[None, :, :]
-        v = _linalg.sigma_max(stack)
+    lam = lams[:, None, None]
+    for xx, yy, xy in grams:
+        cross = lam * xy
+        gram = xx + (lam * lam.conj()).real * yy + (cross + cross.conj().swapaxes(-1, -2))
+        v = np.sqrt(np.maximum(_linalg.lambda_max_hermitian(gram), 0.0))
         vals = v if vals is None else np.maximum(vals, v)
     return vals
 
@@ -618,11 +623,15 @@ def brute_force_min_lambda(
         raise ZeroElement("oracle needs nonzero elements")
     xb = list(x.blocks)
     yb = list(y.blocks)
+    grams = [
+        (_linalg.hermitian_part(bx.conj().T @ bx), _linalg.hermitian_part(by.conj().T @ by), bx.conj().T @ by)
+        for bx, by in zip(xb, yb)
+    ]
     radius = 2.0 * nx / ny
     radii = np.linspace(0.0, radius, grid_n)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
     lams = (radii[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
-    vals = _batch_value(xb, yb, lams)
+    vals = _batch_value(grams, lams)
     k = int(np.argmin(vals))
     lam, best = complex(lams[k]), float(vals[k])
 
@@ -632,7 +641,7 @@ def brute_force_min_lambda(
         guard = 0
         while guard < 128:
             cand = lam + h * dirs
-            cv = _batch_value(xb, yb, cand)
+            cv = _batch_value(grams, cand)
             j = int(np.argmin(cv))
             if cv[j] < best:
                 lam, best = complex(cand[j]), float(cv[j])

@@ -7,15 +7,18 @@ path of at most four edges built from spectral projections:
     a -- q_a -- r -- q_b -- b
 
 where q_a, q_b are rank-one projections into the kernels of the absolute
-values and r is a third minimal projection orthogonal to both.  The returned
-path is always the shortest fully re-verified candidate, so reported lengths
-are honest upper bounds on graph distance.
+values and r is a third minimal projection orthogonal to both.
 
 For a single block of size >= 4 there is additionally a guaranteed length-3
 construction through two rank-two projections, built so that each contains a
 kernel vector of its endpoint, annihilates the endpoint's norm-attaining
 vector, and shares a mutually annihilating pair of range vectors with the
 other bridge projection.
+
+Candidate chains are tried shortest first, and each distinct edge is decided
+at most once per search, without a certificate.  The first chain whose edges
+all hold is re-verified with certificates by :func:`verify_path`, so reported
+lengths are honest upper bounds on graph distance.
 """
 
 from dataclasses import dataclass
@@ -93,13 +96,55 @@ def verify_path(vertices, tol: Tolerances = DEFAULT_TOLERANCES) -> OrthPath:
     return OrthPath(vertices, tuple(decisions))
 
 
-def _chain_holds(vertices, tol: Tolerances) -> bool:
-    for u, v in zip(vertices, vertices[1:]):
-        if projective_equal(u, v, tol):
-            return False
-        if not mutual_strong(u, v, tol, want_certificate=False).adjacent:
-            return False
-    return True
+def _endpoint_path(a: Element, b: Element, tol: Tolerances, split: int | None = None) -> OrthPath | None:
+    """Validate the endpoints of a path search: the length-zero path when they
+    are projectively equal, None when a search is needed.
+
+    ``split`` None is the whole-algebra search, which rejects the three small
+    shapes; otherwise ``split`` must be interior to the shape.
+    """
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+    shape = a.shape
+    if split is None:
+        if shape.is_small():
+            raise SmallAlgebra(f"shape {list(shape.blocks)} is excluded")
+    elif shape.m < 2 or not 1 <= split <= shape.m - 1:
+        raise SplitInfeasible(f"split {split} is not interior to {list(shape.blocks)}")
+    if a.norm() == 0.0 or b.norm() == 0.0:
+        raise ZeroElement("path endpoints must be nonzero")
+    if is_right_invertible(a, tol) or is_right_invertible(b, tol):
+        raise RightInvertibleEndpoint("right-invertible endpoints are isolated")
+    if projective_equal(a, b, tol):
+        return OrthPath((a,), ())
+    return None
+
+
+def _first_chain(a: Element, b: Element, candidates, tol: Tolerances) -> list[Element]:
+    """The first chain ``[a, *middles, b]`` whose edges all hold, over the
+    candidate middles stably sorted by length.
+
+    An edge holds when its vertices are not projectively equal and are
+    mutually strongly orthogonal, decided without a certificate.  Each edge is
+    decided at most once per call, keyed by the identity of its two vertex
+    objects, so candidates that share a vertex share its edges' verdicts.
+    Raises ``VerificationFailed`` when no candidate holds.
+    """
+    holds: dict[tuple[int, int], bool] = {}
+
+    def edge_holds(u: Element, v: Element) -> bool:
+        key = (id(u), id(v))
+        if key not in holds:
+            holds[key] = not projective_equal(u, v, tol) and mutual_strong(
+                u, v, tol, want_certificate=False
+            ).adjacent
+        return holds[key]
+
+    for middles in sorted(candidates, key=len):
+        chain = [a, *middles, b]
+        if all(edge_holds(u, v) for u, v in zip(chain, chain[1:])):
+            return chain
+    raise VerificationFailed("no candidate chain holds")
 
 
 def non_isolated_witness(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Element:
@@ -161,39 +206,21 @@ def third_projection(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
     raise VerificationFailed("no free direction found")  # unreachable off small shapes
 
 
-def _bottom_rank_one(a_hat: Element, tol: Tolerances) -> Projection:
-    """Rank-one projection onto the deterministic bottom eigenvector of a
-    normalized positive element (blockwise, lowest singular direction)."""
-    idx, v = _blockwise_extreme_vector(a_hat, tol, top=False)
-    return Projection.rank_one(a_hat.shape, idx, v)
+def _rank2_bridge(shape: AlgebraShape, u, ta, v, tb) -> list[Element]:
+    """Two rank-two projections P1, P2 with a -- P1 -- P2 -- b in a single
+    block of size n >= 4, from the kernel vectors u, v and the top vectors
+    ta, tb of a and b; empty when a complement runs out.
 
-
-def _top_bottom_vectors(a: Element, tol: Tolerances) -> tuple[int, np.ndarray, int, np.ndarray]:
-    ah = abs_star(a) * (1.0 / a.norm())
-    bi, bv = _blockwise_extreme_vector(ah, tol, top=False)
-    ti, tv = _blockwise_extreme_vector(ah, tol, top=True)
-    return bi, bv, ti, tv
-
-
-def _rank2_bridge(a: Element, b: Element, tol: Tolerances) -> tuple[Element, Element] | None:
-    """Two rank-two projections P1, P2 with a -- P1 -- P2 -- b for a single
-    block of size >= 4; None when the shape does not support it.
-
-    P1 spans a kernel vector u of a a* and an auxiliary u' orthogonal to the
-    norm-attaining vector of a; u' is then matched against a vector v' chosen
-    so the 2x2 pairing matrix between span(P1) and span(P2) is singular,
-    which yields the mutually annihilating range vectors the middle edge
-    needs.  The last constraint costs one dimension, hence n >= 4.
+    P1 spans u and an auxiliary u' orthogonal to the norm-attaining vector of
+    a; u' is then matched against a vector v' chosen so the 2x2 pairing
+    matrix between span(P1) and span(P2) is singular, which yields the
+    mutually annihilating range vectors the middle edge needs.  The last
+    constraint costs one dimension, hence n >= 4.
     """
-    shape = a.shape
-    if shape.m != 1 or shape.blocks[0] < 4:
-        return None
     n = shape.blocks[0]
-    _, u, _, ta = _top_bottom_vectors(a, tol)
-    _, v, _, tb = _top_bottom_vectors(b, tol)
     comp_u = _linalg.orthonormal_complement([u, ta], n)
     if comp_u.shape[1] == 0:
-        return None
+        return []
     up = _linalg.canonical_unit_vector(comp_u)
     z = np.vdot(v, u) * up - np.vdot(v, up) * u
     avoid = [v, tb]
@@ -201,11 +228,28 @@ def _rank2_bridge(a: Element, b: Element, tol: Tolerances) -> tuple[Element, Ele
         avoid.append(z / np.linalg.norm(z))
     comp_v = _linalg.orthonormal_complement(avoid, n)
     if comp_v.shape[1] == 0:
-        return None
+        return []
     vp = _linalg.canonical_unit_vector(comp_v)
-    p1 = Element(shape, [_linalg.rank_one(u) + _linalg.rank_one(up)])
-    p2 = Element(shape, [_linalg.rank_one(v) + _linalg.rank_one(vp)])
-    return p1, p2
+    return [Element(shape, [_linalg.rank_one(u) + _linalg.rank_one(up)]),
+            Element(shape, [_linalg.rank_one(v) + _linalg.rank_one(vp)])]
+
+
+def _kernel_ends(a: Element, b: Element, tol: Tolerances) -> tuple[Projection, Projection, list[Element]]:
+    """The rank-one projections q_a, q_b onto the deterministic bottom
+    eigenvectors of |a*| / ||a|| and |b*| / ||b|| (kernel vectors of a*, b*
+    when neither is right invertible) and, in a single block of size >= 4,
+    the rank-two bridge built from them and the top eigenvectors (else an
+    empty list).  Each endpoint's spectral vectors are derived once."""
+    shape = a.shape
+    bridged = shape.m == 1 and shape.blocks[0] >= 4
+    ends = []
+    for e in (a, b):
+        eh = abs_star(e) * (1.0 / e.norm())
+        idx, bottom = _blockwise_extreme_vector(eh, tol, top=False)
+        top = _blockwise_extreme_vector(eh, tol, top=True)[1] if bridged else None
+        ends.append((Projection.rank_one(shape, idx, bottom), bottom, top))
+    (qa, u, ta), (qb, v, tb) = ends
+    return qa, qb, _rank2_bridge(shape, u, ta, v, tb) if bridged else []
 
 
 def _middle_candidates(a: Element, b: Element, tol: Tolerances) -> list[list[Element]]:
@@ -214,20 +258,12 @@ def _middle_candidates(a: Element, b: Element, tol: Tolerances) -> list[list[Ele
     The final candidate (kernel projection, third projection, kernel
     projection) is the guaranteed fallback; everything before it is a
     trimming attempt."""
-    qa = _bottom_rank_one(abs_star(a) * (1.0 / a.norm()), tol)
-    qb = _bottom_rank_one(abs_star(b) * (1.0 / b.norm()), tol)
+    qa, qb, bridge = _kernel_ends(a, b, tol)
     r = third_projection(qa, qb, tol)
     ea, eb, er = qa.element, qb.element, r.element
-    candidates: list[list[Element]] = [
-        [],
-        [ea],
-        [er],
-        [eb],
-        [ea, eb],
-    ]
-    bridge = _rank2_bridge(a, b, tol)
-    if bridge is not None:
-        candidates.append(list(bridge))
+    candidates: list[list[Element]] = [[], [ea], [er], [eb], [ea, eb]]
+    if bridge:
+        candidates.append(bridge)
     candidates.extend([[ea, er], [er, eb], [ea, er, eb]])
     return candidates
 
@@ -236,46 +272,30 @@ def connect(a: Element, b: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Ort
     """Shortest verified mutual-orthogonality path between two
     non-right-invertible elements; never longer than four edges.
 
-    Projectively equal endpoints give the single-vertex path of length zero.
-    The three small shapes are rejected outright: their graphs have no single
-    nontrivial component for this construction to land in.
+    Candidate chains are tried shortest first, each distinct edge decided
+    once without a certificate; the first chain that holds is re-verified
+    with certificates by :func:`verify_path`.  Projectively equal endpoints
+    give the single-vertex path of length zero.  The three small shapes are
+    rejected outright: their graphs have no single nontrivial component for
+    this construction to land in.
     """
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    if a.shape.is_small():
-        raise SmallAlgebra(f"shape {list(a.shape.blocks)} is excluded")
-    if a.norm() == 0.0 or b.norm() == 0.0:
-        raise ZeroElement("path endpoints must be nonzero")
-    if is_right_invertible(a, tol) or is_right_invertible(b, tol):
-        raise RightInvertibleEndpoint("right-invertible endpoints are isolated")
-    if projective_equal(a, b, tol):
-        return OrthPath((a,), ())
-    for middles in _middle_candidates(a, b, tol):
-        chain = [a, *middles, b]
-        if _chain_holds(chain, tol):
-            return verify_path(chain, tol)
-    raise VerificationFailed("no candidate chain verified")  # not expected
-
-
-def _canonical_filler(shape: AlgebraShape) -> Element:
-    """Deterministic nonzero stand-in used when a summand component is zero
-    (any element works there: the edge conditions are vacuous)."""
-    n = shape.blocks[0]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    return Element.rank_one_in_block(shape, 0, e1)
+    trivial = _endpoint_path(a, b, tol)
+    if trivial is not None:
+        return trivial
+    return verify_path(_first_chain(a, b, _middle_candidates(a, b, tol), tol), tol)
 
 
 def _witness_or_filler(comp: Element, tol: Tolerances) -> Element:
+    """A verified neighbor of a nonzero summand component; for a zero one, a
+    deterministic nonzero stand-in (any element works there: the edge
+    conditions are vacuous)."""
     if comp.is_zero():
-        return _canonical_filler(comp.shape)
+        return Element.rank_one_in_block(comp.shape, 0, np.eye(comp.shape.blocks[0])[:, 0])
     return non_isolated_witness(comp, tol)
 
 
 def _not_approx_right_invertible(comp: Element, tol: Tolerances) -> bool:
-    if comp.is_zero():
-        return True
-    return not is_right_invertible(comp, tol)
+    return comp.is_zero() or not is_right_invertible(comp, tol)
 
 
 def connect_direct_sum(
@@ -289,25 +309,18 @@ def connect_direct_sum(
 
     Depending on which components are not approximately right invertible, the
     construction either crosses summands through (a', 0) and (0, b') in at
-    most three edges, or lifts a path built inside one summand.  Candidates
-    are tried shortest first with full per-edge verification; the candidates
-    of the plain :func:`connect` on the whole algebra are kept as a fallback.
+    most three edges, or lifts a chain found inside one summand.  The
+    candidates of the plain :func:`connect` on the whole algebra are kept as a
+    fallback.  As in :func:`connect`, candidates are tried shortest first,
+    each distinct edge decided once without a certificate, and the first
+    chain that holds is re-verified with certificates by :func:`verify_path`.
     """
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"{x.shape} vs {y.shape}")
+    trivial = _endpoint_path(x, y, tol, split)
+    if trivial is not None:
+        return trivial
     shape = x.shape
-    if shape.m < 2 or not 1 <= split <= shape.m - 1:
-        raise SplitInfeasible(f"split {split} is not interior to {list(shape.blocks)}")
-    if x.norm() == 0.0 or y.norm() == 0.0:
-        raise ZeroElement("path endpoints must be nonzero")
-    if is_right_invertible(x, tol) or is_right_invertible(y, tol):
-        raise RightInvertibleEndpoint("right-invertible endpoints are isolated")
-    if projective_equal(x, y, tol):
-        return OrthPath((x,), ())
-
     a1, b1 = split_element(x, split)
     a2, b2 = split_element(y, split)
-    shape_a, shape_b = a1.shape, b1.shape
 
     def lift_a(el: Element) -> Element:
         return embed(el, 0, shape)
@@ -317,49 +330,36 @@ def connect_direct_sum(
 
     candidates: list[list[Element]] = [[]]
 
-    def cross_case(first_comp, first_shape_is_a, second_comp):
-        """x -- (w1, 0) -- (0, w2) -- y with w's on opposite summands."""
-        w1 = _witness_or_filler(first_comp, tol)
-        w2 = _witness_or_filler(second_comp, tol)
-        if first_shape_is_a:
-            m1, m2 = lift_a(w1), lift_b(w2)
-        else:
-            m1, m2 = lift_b(w1), lift_a(w2)
+    def cross_case(c1, lift1, c2, lift2):
+        """x -- lift1(w1) -- lift2(w2) -- y with w's on opposite summands."""
+        m1, m2 = lift1(_witness_or_filler(c1, tol)), lift2(_witness_or_filler(c2, tol))
         candidates.extend([[m1], [m2], [m1, m2]])
 
     if _not_approx_right_invertible(a1, tol) and _not_approx_right_invertible(b2, tol):
-        cross_case(a1, True, b2)
+        cross_case(a1, lift_a, b2, lift_b)
     if _not_approx_right_invertible(b1, tol) and _not_approx_right_invertible(a2, tol):
-        cross_case(b1, False, a2)
+        cross_case(b1, lift_b, a2, lift_a)
 
     def same_side_case(c1, c2, lift):
-        """Both deficiencies in the same summand: lift a path built there."""
-        if c1.is_zero() and c2.is_zero():
-            candidates.append([lift(_canonical_filler(c1.shape))])
+        """Both deficiencies in the same summand: lift a chain found there."""
+        if c1.is_zero() or c2.is_zero() or projective_equal(c1, c2, tol):
+            candidates.append([lift(_witness_or_filler(c2 if c1.is_zero() else c1, tol))])
             return
-        if c1.is_zero() or c2.is_zero():
-            nz = c2 if c1.is_zero() else c1
-            candidates.append([lift(non_isolated_witness(nz, tol))])
-            return
-        if projective_equal(c1, c2, tol):
-            candidates.append([lift(non_isolated_witness(c1, tol))])
-            return
-        try:
-            inner = connect(c1, c2, tol)
+        try:  # no certificates here: only the lifted winner gets them
+            inner = _first_chain(c1, c2, _middle_candidates(c1, c2, tol), tol)
         except (SmallAlgebra, VerificationFailed):
             inner = None
-        if inner is not None and inner.length >= 2:
-            candidates.append([lift(v) for v in inner.vertices[1:-1]])
+        if inner is not None and len(inner) >= 3:
+            candidates.append([lift(v) for v in inner[1:-1]])
             return
-        # the summand path is a single edge (or unavailable): pad with
+        # the summand chain is a single edge (or unavailable): pad with
         # kernel projections / the rank-two bridge / alternating witnesses
-        q1 = _bottom_rank_one(abs_star(c1) * (1.0 / c1.norm()), tol)
-        q2 = _bottom_rank_one(abs_star(c2) * (1.0 / c2.norm()), tol)
-        candidates.extend([[lift(q1.element)], [lift(q2.element)]])
-        bridge = _rank2_bridge(c1, c2, tol)
-        if bridge is not None:
-            candidates.append([lift(bridge[0]), lift(bridge[1])])
-        candidates.append([lift(q1.element), lift(q2.element)])
+        q1, q2, bridge = _kernel_ends(c1, c2, tol)
+        l1, l2 = lift(q1.element), lift(q2.element)
+        candidates.extend([[l1], [l2]])
+        if bridge:
+            candidates.append([lift(p) for p in bridge])
+        candidates.append([l1, l2])
         w1, w2 = non_isolated_witness(c1, tol), non_isolated_witness(c2, tol)
         candidates.append([lift(w1), lift(w2)])
 
@@ -376,9 +376,4 @@ def connect_direct_sum(
         except VerificationFailed:
             pass
 
-    candidates.sort(key=len)
-    for middles in candidates:
-        chain = [x, *middles, y]
-        if _chain_holds(chain, tol):
-            return verify_path(chain, tol)
-    raise VerificationFailed("no direct-sum candidate chain verified")
+    return verify_path(_first_chain(x, y, candidates, tol), tol)

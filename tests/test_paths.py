@@ -263,3 +263,123 @@ def test_verify_path_accepts_and_rejects():
         verify_path([e11_m2(), Element.identity([2])])  # not mutual
     with pytest.raises(ZeroElement):
         verify_path([e11_m2(), Element.zero([2])])
+
+
+# ------------------------------------------------------------- path search
+
+
+def _deficient_pair(shape, i):
+    return (sample_element(shape, "deficient:1", 9000 + i),
+            sample_element(shape, "deficient:1", 9500 + i))
+
+
+def _same_side_pair(i):
+    """Full [2] + deficient [3] endpoints: both deficiencies lie in the second
+    summand, so connect_direct_sum lifts a chain found there."""
+
+    def one(seed):
+        return direct_sum(sample_element([2], "full", seed), sample_element([3], "deficient:1", seed + 1))
+
+    return one(9800 + 2 * i), one(9900 + 2 * i)
+
+
+def _block_ranks(v):
+    return "+".join(str(int(np.sum(np.linalg.svd(b, compute_uv=False) > 1e-8 * v.norm()))) for b in v.blocks)
+
+
+def _edge_verdicts(e):
+    """Forward then backward verdict, lower case inside the tie band."""
+    codes = [("T" if d.verdict else "F", d.indeterminate) for d in (e.forward, e.backward)]
+    return "".join(c.lower() if banded else c for c, banded in codes)
+
+
+# Length, per-block ranks of the interior vertices and edge verdicts of the
+# paths built for pairs 0-4 of each case, recorded before the two path
+# searches were merged into one.
+_L4 = (4, ("1", "1", "1"), "TT TT TT TT")
+_L3_RANK2 = (3, ("2", "2"), "TT TT TT")
+PINNED_PATHS = {
+    ("connect", (3,)): [_L4] * 5,
+    ("connect", (4,)): [_L3_RANK2] * 5,
+    ("connect", (2, 3)): [
+        (3, ("0+1", "1+0"), "TT TT TT"),
+        (3, ("1+0", "0+1"), "TT TT TT"),
+        (3, ("0+1", "1+0"), "TT TT TT"),
+        (4, ("0+1", "1+0", "0+1"), "TT TT TT TT"),
+        (4, ("0+1", "1+0", "0+1"), "TT TT TT TT"),
+    ],
+    ("connect", (8, 8, 8, 8)): [
+        (3, ("0+0+1+0", "1+0+0+0"), "TT TT TT"),
+        (3, ("1+0+0+0", "0+0+1+0"), "TT TT TT"),
+        (3, ("0+0+1+0", "1+0+0+0"), "TT TT TT"),
+        (4, ("0+0+0+1", "1+0+0+0", "0+0+0+1"), "TT TT TT TT"),
+        (4, ("0+0+0+1", "1+0+0+0", "0+0+0+1"), "TT TT TT TT"),
+    ],
+    ("connect_direct_sum", (2, 3)): [
+        (3, ("0+2", "1+0"), "TT TT TT"),
+        (3, ("2+0", "0+2"), "TT TT TT"),
+        (3, ("0+2", "1+0"), "TT TT TT"),
+        (4, ("0+1", "0+1", "0+1"), "TT TT TT TT"),
+        (4, ("0+1", "0+1", "0+1"), "TT TT TT TT"),
+    ],
+    ("connect_direct_sum", (4, 5)): [
+        (3, ("0+4", "3+0"), "TT TT TT"),
+        (3, ("3+0", "0+4"), "TT TT TT"),
+        (3, ("0+4", "3+0"), "TT TT TT"),
+        (3, ("0+2", "0+2"), "TT TT TT"),
+        (3, ("0+2", "0+2"), "TT TT TT"),
+    ],
+    ("same_side", (2, 3)): [(4, ("0+1", "0+1", "0+1"), "TT TT TT TT")] * 5,
+}
+
+
+def _case_id(case):
+    kind, shape = case
+    return f"{kind}-{'+'.join(map(str, shape))}"
+
+
+def _build(kind, shape, i):
+    if kind == "connect":
+        return connect(*_deficient_pair(shape, i))
+    pair = _same_side_pair(i) if kind == "same_side" else _deficient_pair(shape, i)
+    return connect_direct_sum(*pair, split=1)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PATHS), ids=_case_id)
+def test_paths_pinned(case):
+    kind, shape = case
+    got = []
+    for i in range(5):
+        path = _build(kind, shape, i)
+        got.append((path.length, tuple(_block_ranks(v) for v in path.vertices[1:-1]),
+                    " ".join(_edge_verdicts(e) for e in path.edge_decisions)))
+    assert got == PINNED_PATHS[case]
+
+
+@pytest.mark.parametrize("case", [("connect", (3,)), ("connect", (4,)), ("connect", (8, 8, 8, 8)),
+                                  ("connect_direct_sum", (2, 3)), ("connect_direct_sum", (4, 5)),
+                                  ("same_side", (2, 3))], ids=_case_id)
+def test_path_search_decides_each_edge_once(case, monkeypatch):
+    from orthograph import paths
+
+    calls = []
+    real = paths.mutual_strong
+
+    def recording(u, v, tol, want_certificate=True):
+        calls.append((u, v, want_certificate))  # keeps u, v alive: ids stay unique
+        return real(u, v, tol, want_certificate)
+
+    monkeypatch.setattr(paths, "mutual_strong", recording)
+    kind, shape = case
+    for i in range(3):
+        calls.clear()
+        path = _build(kind, shape, i)
+        uncertified = [(id(u), id(v)) for u, v, cert in calls if not cert]
+        assert uncertified and len(set(uncertified)) == len(uncertified)
+        certified = [(u, v) for u, v, cert in calls if cert]
+        assert len(certified) >= path.length
+        if kind == "same_side":
+            # no certified decision inside the summand: only the lifted
+            # winner is re-verified, on the whole algebra
+            assert len(certified) == path.length
+            assert all(u.shape == path.vertices[0].shape for u, _ in certified)
