@@ -106,38 +106,37 @@ def _check_vertices(vertices) -> tuple[AlgebraShape, list[Element]]:
     return shape, vertices
 
 
-def _dedupe(vertices: list[Element], tol: Tolerances) -> list[Element]:
-    kept: list[Element] = []
-    for v in vertices:
-        if not any(projective_equal(v, u, tol) for u in kept):
-            kept.append(v)
-    return kept
-
-
-def _pair_status(a: Element, b: Element, tol: Tolerances) -> tuple[bool, bool]:
-    """(edge, indeterminate) for one unordered pair."""
-    dec = mutual_strong(a, b, tol, want_certificate=False)
-    if dec.indeterminate:
-        return False, True
-    return dec.adjacent, False
+def _insert_vertex(verts: list[Element], adj: np.ndarray, indet: set, w: Element,
+                   tol: Tolerances) -> tuple[int, np.ndarray]:
+    """The index of w's projective class among verts (the first projectively
+    equal vertex), and the adjacency.  A new w is appended and decided against
+    every earlier vertex: its edges go into the grown adjacency returned, its
+    tie-band pairs into indet."""
+    for i, u in enumerate(verts):
+        if projective_equal(w, u, tol):
+            return i, adj
+    m = len(verts) + 1
+    grown = np.zeros((m, m), dtype=bool)
+    grown[: m - 1, : m - 1] = adj
+    for i, u in enumerate(verts):
+        dec = mutual_strong(u, w, tol, want_certificate=False)
+        if dec.indeterminate:
+            indet.add((i, m - 1))
+        elif dec.adjacent:
+            grown[i, m - 1] = grown[m - 1, i] = True
+    verts.append(w)
+    return m - 1, grown
 
 
 def build_graph(vertices, tol: Tolerances = DEFAULT_TOLERANCES, provenance: dict | None = None) -> Orthograph:
     """Evaluate all pairwise adjacencies over a projectively deduplicated
-    vertex list (first occurrence of each class is kept)."""
+    vertex list (first occurrence of each class is kept), inserting the
+    vertices one by one as :func:`augment_with_paths` does."""
     shape, vertices = _check_vertices(vertices)
-    vertices = _dedupe(vertices, tol)
-    n = len(vertices)
-    adj = np.zeros((n, n), dtype=bool)
-    indet: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edge, tie = _pair_status(vertices[i], vertices[j], tol)
-            if tie:
-                indet.append((i, j))
-            elif edge:
-                adj[i, j] = adj[j, i] = True
-    return Orthograph(shape, tuple(vertices), adj, tuple(indet), dict(provenance or {}))
+    verts, adj, indet = [], np.zeros((0, 0), dtype=bool), set()
+    for w in vertices:
+        adj = _insert_vertex(verts, adj, indet, w, tol)[1]
+    return Orthograph(shape, tuple(verts), adj, tuple(sorted(indet)), dict(provenance or {}))
 
 
 def classify_isolated(vertices, tol: Tolerances = DEFAULT_TOLERANCES) -> IsolationReport:
@@ -219,22 +218,10 @@ def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, dist
 
     def add_vertex(w: Element) -> int:
         nonlocal adj
-        for i, u in enumerate(verts):
-            if projective_equal(w, u, tol):
-                return i
-        verts.append(w)
-        invertible.append(is_right_invertible(w, tol))
-        m = len(verts)
-        grown = np.zeros((m, m), dtype=bool)
-        grown[: m - 1, : m - 1] = adj
-        adj = grown
-        for i in range(m - 1):
-            edge, tie = _pair_status(verts[i], w, tol)
-            if tie:
-                indet.add((i, m - 1))
-            elif edge:
-                adj[i, m - 1] = adj[m - 1, i] = True
-        return m - 1
+        i, adj = _insert_vertex(verts, adj, indet, w, tol)
+        if i == len(invertible):
+            invertible.append(is_right_invertible(w, tol))
+        return i
 
     guard = 0
     limit = 4 * (n * n + 16)

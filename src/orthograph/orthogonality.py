@@ -27,6 +27,15 @@ is exactly the indeterminate band: clean interior decisions carry margin f,
 boundary-exact orthogonal pairs carry 3*tol.orth - delta, and failures carry
 -delta.
 
+The witness of a plain True verdict is exact, by Toeplitz-Hausdorff in closed
+form.  The top eigenvectors v_j of Re(e^{i theta} T) at n angles attain
+boundary points z_j of W(T).  If the deepest sampled triangle (z_a, z_b, z_c)
+holds 0, then 0 lies on [z_a, q], q where the line through z_a and 0 meets
+[z_b, z_c]; one exact segment step attains q in span(v_b, v_c), a second one
+0 in span(v_a, v_q).  While no triangle holds 0 but f > 0, n doubles, up to
+a cap.  Otherwise (0 outside W(T), or no triangle found) the steps attain
+the point of [z_a, q] nearest 0.
+
 Strong form in closed form.  Against the direction y = b b* a the
 compression T = V* (a* b b* a) V / (||a|| ||b b* a||), V an orthonormal
 basis of the norm-attaining space of a, is Hermitian positive semidefinite.
@@ -58,8 +67,9 @@ from .algebra import (
     Projection,
     PureState,
     Tolerances,
+    _validate_psd,
 )
-from .errors import NotNormalized, NotPositive, ShapeMismatch, ZeroElement
+from .errors import NotNormalized, ShapeMismatch, ZeroElement
 
 __all__ = [
     "WitnessVector",
@@ -180,8 +190,7 @@ def _attaining_basis(x: Element, tol: Tolerances) -> tuple[np.ndarray, float]:
 def _sweep_support(t: np.ndarray) -> float:
     """min over theta of lambda_max(Re(e^{i theta} T)) by a dense grid plus
     golden-section refinement of the best local minima."""
-    k = t.shape[0]
-    if k == 1:
+    if t.shape[0] == 1:
         return -abs(t[0, 0])
     h1 = 0.5 * (t + t.conj().T)
     h2 = 0.5j * (t - t.conj().T)
@@ -230,114 +239,98 @@ def _golden_min(fun, a: float, b: float, iters: int = 60) -> float:
 # --------------------------------------------------------------------------
 # constructive witness: unit v with v* T v = 0 when 0 lies in W(T)
 
-
-def _segment_attain(t: np.ndarray, a: np.ndarray, b: np.ndarray, z: complex) -> np.ndarray:
-    """Unit vector attaining z in W(T), given unit vectors a, b whose attained
-    values straddle z on a segment.  Classical convexity argument: rotate so
-    the segment is real, kill the imaginary cross term by a phase on b, then
-    bisect the real part."""
-    alpha = complex(np.vdot(a, t @ a)) - z
-    beta = complex(np.vdot(b, t @ b)) - z
-    if abs(alpha) <= 1e-14:
-        return a
-    if abs(beta) <= 1e-14:
-        return b
-    psi = -np.angle(alpha)
-    s = np.exp(1j * psi) * (t - z * np.eye(t.shape[0]))
-    u = complex(np.vdot(a, s @ b))
-    w = complex(np.vdot(b, s @ a))
-    aa = (u + w).imag
-    bb = (u - w).real
-    delta = -np.arctan2(aa, bb) if (aa != 0.0 or bb != 0.0) else 0.0
-    bt = np.exp(1j * delta) * b
-
-    def val(tt: float) -> tuple[float, np.ndarray]:
-        v = np.cos(tt) * a + np.sin(tt) * bt
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return 0.0, a
-        v = v / nv
-        return float(np.vdot(v, s @ v).real), v
-
-    lo, hi = 0.0, np.pi / 2.0
-    flo, _ = val(lo)
-    fhi, _ = val(hi)
-    if flo * fhi > 0:  # numerically same-signed ends: return the flatter one
-        return a if abs(flo) <= abs(fhi) else b
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm, _ = val(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    _, v = val(0.5 * (lo + hi))
-    return v
+# Points in the first boundary sample; the cap on n k^2, the entries of the
+# stacked k x k matrices, that bounds the doublings (8,192 points for k = 2,
+# no doubling for k >= 17); the |v* T v| of a sampled point kept as witness.
+_WITNESS_POINTS = 64
+_WITNESS_MAX_ENTRIES = 8192 * 4
+_WITNESS_ATOL = 1e-14
 
 
-def _attain_zero(t: np.ndarray) -> np.ndarray:
-    """Best-effort unit vector with v* T v = 0; assumes 0 is in (or very near)
-    the numerical range of T."""
-    k = t.shape[0]
-    if k == 1:
-        return np.ones(1, dtype=complex)
-    h1 = 0.5 * (t + t.conj().T)
-    h2 = 0.5j * (t - t.conj().T)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    stack = np.cos(thetas)[:, None, None] * h1 + np.sin(thetas)[:, None, None] * h2
-    w, u = np.linalg.eigh(stack)
-    vecs = u[:, :, -1]
-    pts = np.einsum("ij,jk,ik->i", vecs.conj(), t, vecs)
+def _cross(p, q):
+    """Im(conj(p) q), twice the signed area of the triangle (0, p, q)."""
+    return (np.conj(p) * q).imag
 
-    mags = np.abs(pts)
-    j0 = int(np.argmin(mags))
-    if mags[j0] <= 1e-13:
-        return vecs[j0]
 
-    args = np.angle(pts)
+def _deepest_triangle(z: np.ndarray) -> tuple[int, int, int, float]:
+    """The sampled triangle (z_a, z_b, z_c) that holds 0 deepest, and that
+    depth, for b and c the points of argument nearest arg z_a + 2 pi/3 and
+    arg z_a + 4 pi/3.  The depth is the least signed distance from 0 to an
+    edge line.  Barycentric weights would be 0/0 on flat triangles (a segment
+    W(T), repeated corner points); the depth is at most about 0 there, and an
+    edge of length zero constrains nothing."""
+    args = np.angle(z)
     order = np.argsort(args)
 
-    def spanning_triple(start: int):
-        a0 = args[order[start]]
-        targets = (a0 + 2.0 * np.pi / 3.0, a0 + 4.0 * np.pi / 3.0)
-        picks = [order[start]]
-        for tgt in targets:
-            rel = np.mod(args[order] - a0, 2.0 * np.pi)
-            tgt_rel = np.mod(tgt - a0, 2.0 * np.pi)
-            cand = order[rel >= tgt_rel]
-            if cand.size == 0:
-                return None
-            picks.append(cand[0])
-        return picks
+    def nearest(target):
+        pos = np.searchsorted(args[order], np.angle(np.exp(1j * target)))
+        ends = order[(pos - 1) % z.size], order[pos % z.size]
+        off = [np.abs(np.angle(np.exp(1j * (args[j] - target)))) for j in ends]
+        return np.where(off[0] <= off[1], *ends)
 
-    for start in range(0, order.size, 36):
-        picks = spanning_triple(start)
-        if picks is None:
-            continue
-        p = pts[picks]
-        mat = np.array([[p[0].real, p[1].real, p[2].real],
-                        [p[0].imag, p[1].imag, p[2].imag],
-                        [1.0, 1.0, 1.0]])
-        try:
-            wgt = np.linalg.solve(mat, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(wgt < -1e-9):
-            continue
-        wgt = np.clip(wgt, 0.0, None)
-        v1, v2, v3 = (vecs[i] for i in picks)
-        w23 = wgt[1] + wgt[2]
-        if w23 <= 1e-14:
-            return v1
-        q = (wgt[1] * p[1] + wgt[2] * p[2]) / w23
-        vq = _segment_attain(t, v2, v3, q)
-        return _segment_attain(t, v1, vq, 0.0)
+    b, c = nearest(args + 2.0 * np.pi / 3.0), nearest(args + 4.0 * np.pi / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = [_cross(p, q) / np.abs(q - p) for p, q in ((z, z[b]), (z[b], z[c]), (z[c], z))]
+    depth = np.nan_to_num(np.fmin(np.fmin(d[0], d[1]), d[2]), nan=-np.inf)
+    a = int(np.argmax(depth))
+    return a, int(b[a]), int(c[a]), float(depth[a])
 
-    # degenerate numerical range (segment through 0): use the two extreme
-    # boundary points as segment ends
-    jmax = int(np.argmax(mags))
-    opp = np.argmin(np.cos(args - args[jmax]) * mags)
-    return _segment_attain(t, vecs[jmax], vecs[int(opp)], 0.0)
+
+def _segment_step(t: np.ndarray, a: np.ndarray, b: np.ndarray, z: complex) -> np.ndarray:
+    """Unit v in span(a, b) with v* T v = z, for unit a, b with z on the
+    segment [a* T a, b* T b].  S = conj(u) (T - z), u the segment's direction,
+    has A = Re a* S a <= 0 <= B = Re b* S b; the phase w on b that takes the
+    skew-Hermitian part out of a* S (w b) leaves v* S v = A p^2 + 2 C p r +
+    B r^2 real on v = p a + r w b, solved for p, r >= 0 without cancellation
+    (C^2 - A B >= C^2)."""
+    ta, tb = t @ a, t @ b
+    alpha, beta = complex(np.vdot(a, ta)), complex(np.vdot(b, tb))
+    if beta == alpha:
+        return a
+    rot = (beta - alpha).conjugate() / abs(beta - alpha)
+    lo, hi = (rot * (alpha - z)).real, (rot * (beta - z)).real
+    if lo >= 0.0:
+        return a
+    ab = complex(np.vdot(a, b))
+    s_ab = rot * (complex(np.vdot(a, tb)) - z * ab)
+    s_ba = (rot * (complex(np.vdot(b, ta)) - z * ab.conjugate())).conjugate()
+    skew = s_ab - s_ba
+    w = skew.conjugate() / abs(skew) if skew != 0.0 else 1.0
+    cross = 0.5 * (w * (s_ab + s_ba)).real
+    root = np.sqrt(max(cross * cross - lo * hi, 0.0))
+    p, r = (cross + root, -lo) if cross >= 0.0 else (hi, root - cross)
+    v = p * a + (r * w) * b
+    return v / np.linalg.norm(v)
+
+
+def _attain_zero(t: np.ndarray, f: float) -> np.ndarray:
+    """Unit v with v* T v = 0 when 0 lies in W(T), of support value f (see
+    the module docstring); else v attains the point of [z_a, q] nearest 0."""
+    if t.shape[0] == 1:
+        return np.ones(1, dtype=complex)
+    h1, h2 = 0.5 * (t + t.conj().T), 0.5j * (t - t.conj().T)
+    n = _WITNESS_POINTS
+    while True:
+        thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        stack = np.cos(thetas)[:, None, None] * h1 + np.sin(thetas)[:, None, None] * h2
+        vecs = np.linalg.eigh(stack)[1][:, :, -1]
+        z = np.einsum("ij,jk,ik->i", vecs.conj(), t, vecs)
+        j = int(np.argmin(np.abs(z)))
+        if abs(z[j]) <= _WITNESS_ATOL:
+            return vecs[j]
+        a, b, c, depth = _deepest_triangle(z)
+        if depth >= 0.0 or f <= 0.0 or 2 * n * t.size > _WITNESS_MAX_ENTRIES:
+            break
+        n *= 2
+    za, zb, zc = complex(z[a]), complex(z[b]), complex(z[c])
+    # q = zb + s (zc - zb) on the line through za and 0; then the point of
+    # [za, zq] nearest 0, which is 0 itself when the triangle holds it
+    den = _cross(za, zb) - _cross(za, zc)
+    s = min(max(_cross(za, zb) / den, 0.0), 1.0) if den != 0.0 else 0.0
+    vq = _segment_step(t, vecs[b], vecs[c], zb + s * (zc - zb))
+    d = complex(np.vdot(vq, t @ vq)) - za
+    tau = min(max(-(za.conjugate() * d).real / abs(d) ** 2, 0.0), 1.0) if d != 0.0 else 0.0
+    return _segment_step(t, vecs[a], vq, za + tau * d)
 
 
 # --------------------------------------------------------------------------
@@ -393,14 +386,7 @@ def _minimize_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tu
 
 
 def _vacuous_true(norm_x: float) -> OrthDecision:
-    return OrthDecision(
-        verdict=True,
-        margin=norm_x,
-        indeterminate=False,
-        certificate=None,
-        support_min=None,
-        drop=0.0,
-    )
+    return OrthDecision(True, norm_x, False, None, support_min=None, drop=0.0)
 
 
 def _decide(
@@ -455,24 +441,16 @@ def _decide(
 
     cert = None
     if want_certificate:
-        if verdict:
-            cert = _make_witness(x, y, v, witness())
-            if cert is None:
-                cert = MinimizingScalar(lam, achieved)
-        else:
-            cert = MinimizingScalar(lam, achieved)
+        cert = _make_witness(x, y, v, witness()) if verdict else MinimizingScalar(lam, achieved)
     indet = abs(margin) <= 2.0 * tol.orth
     return OrthDecision(verdict, float(margin), indet, cert, support_min=float(f), drop=float(drop))
 
 
-def _make_witness(x: Element, y: Element, v_basis: np.ndarray, vc: np.ndarray) -> WitnessVector | None:
-    """Lift the compressed vector vc by the attaining basis and record what
-    it attains against the unnormalized operands."""
+def _make_witness(x: Element, y: Element, v_basis: np.ndarray, vc: np.ndarray) -> WitnessVector:
+    """Lift the unit compressed vector vc by the orthonormal attaining basis
+    and record what it attains against the unnormalized operands."""
     vec = v_basis @ vc
-    nv = np.linalg.norm(vec)
-    if nv < 1e-12:
-        return None
-    vec = vec / nv
+    vec = vec / np.linalg.norm(vec)
     xv = x.assemble() @ vec
     return WitnessVector(
         vector=vec,
@@ -498,7 +476,7 @@ def bj_orthogonal(
     v, gap = _attaining_basis(x, tol)
     t = v.conj().T @ x.normalized_matrix().conj().T @ y.normalized_matrix() @ v
     f = _sweep_support(t)
-    return _decide(x, y, v, f, gap, lambda: _attain_zero(t), tol, want_certificate)
+    return _decide(x, y, v, f, gap, lambda: _attain_zero(t, f), tol, want_certificate)
 
 
 def strong_bj(
@@ -570,19 +548,11 @@ def projection_witness_check(
     norm-one a, b certify that a is strongly orthogonal to b (compressing
     a + b c by p preserves norm one while killing the b term)."""
     for el, name in ((a, "a"), (b, "b")):
-        nrm = el.norm()
-        if abs(nrm - 1.0) > tol.orth:
+        if abs(el.norm() - 1.0) > tol.orth:
             raise NotNormalized(f"{name} must have norm one")
-        if not el.is_hermitian(tol):
-            raise NotPositive(f"{name} must be positive")
-        for blk in el.blocks:
-            w = np.linalg.eigvalsh(_linalg.hermitian_part(blk))
-            if w.size and w[0] < -tol.proj * max(nrm, 1.0):
-                raise NotPositive(f"{name} must be positive")
+        _validate_psd(el, tol)
     pm = p.element
-    defect_a = max(
-        _linalg.opnorm(bp @ ba - bp) for bp, ba in zip(pm.blocks, a.blocks)
-    )
+    defect_a = max(_linalg.opnorm(bp @ ba - bp) for bp, ba in zip(pm.blocks, a.blocks))
     defect_b = max(_linalg.opnorm(bp @ bb) for bp, bb in zip(pm.blocks, b.blocks))
     return defect_a <= tol.orth and defect_b <= tol.orth
 

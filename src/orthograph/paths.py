@@ -147,19 +147,10 @@ def _first_chain(a: Element, b: Element, candidates, tol: Tolerances) -> list[El
     raise VerificationFailed("no candidate chain holds")
 
 
-def non_isolated_witness(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Element:
-    """A verified graph neighbor of a non-right-invertible element.
-
-    Normalizes a and returns b = (1 - a a*)^(1/2), which is nonzero exactly
-    because a a* is singular; mutual orthogonality is re-verified before
-    returning.  Right-invertible inputs raise ``Isolated``: they have no
-    neighbors at all.
-    """
+def _neighbor(a: Element) -> Element:
+    """b = (1 - a a* / ||a||^2)^(1/2), the graph neighbor of a nonzero,
+    non-right-invertible a; unverified (a path search decides its edge)."""
     na = a.norm()
-    if na == 0.0:
-        raise ZeroElement("the zero element is not a graph vertex")
-    if is_right_invertible(a, tol):
-        raise Isolated("right-invertible elements are isolated vertices")
     blocks = []
     for blk in a.blocks:
         n = blk.shape[0]
@@ -168,6 +159,22 @@ def non_isolated_witness(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> El
     b = Element(a.shape, blocks)
     if b.norm() == 0.0:
         raise VerificationFailed("witness collapsed to zero")
+    return b
+
+
+def non_isolated_witness(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Element:
+    """A verified graph neighbor of a non-right-invertible element.
+
+    Normalizes a and returns b = (1 - a a*)^(1/2), which is nonzero exactly
+    because a a* is singular; mutual orthogonality is re-verified before
+    returning.  Right-invertible inputs raise ``Isolated``: they have no
+    neighbors at all.
+    """
+    if a.norm() == 0.0:
+        raise ZeroElement("the zero element is not a graph vertex")
+    if is_right_invertible(a, tol):
+        raise Isolated("right-invertible elements are isolated vertices")
+    b = _neighbor(a)
     dec = mutual_strong(a, b, tol)
     if not dec.adjacent:
         raise VerificationFailed("witness failed mutual orthogonality re-verification")
@@ -285,13 +292,13 @@ def connect(a: Element, b: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Ort
     return verify_path(_first_chain(a, b, _middle_candidates(a, b, tol), tol), tol)
 
 
-def _witness_or_filler(comp: Element, tol: Tolerances) -> Element:
-    """A verified neighbor of a nonzero summand component; for a zero one, a
-    deterministic nonzero stand-in (any element works there: the edge
-    conditions are vacuous)."""
+def _witness_or_filler(comp: Element) -> Element:
+    """The neighbor of a nonzero summand component, left to the path search
+    to decide; for a zero one, a deterministic nonzero stand-in (any element
+    works there: the edge conditions are vacuous)."""
     if comp.is_zero():
         return Element.rank_one_in_block(comp.shape, 0, np.eye(comp.shape.blocks[0])[:, 0])
-    return non_isolated_witness(comp, tol)
+    return _neighbor(comp)
 
 
 def _not_approx_right_invertible(comp: Element, tol: Tolerances) -> bool:
@@ -332,7 +339,7 @@ def connect_direct_sum(
 
     def cross_case(c1, lift1, c2, lift2):
         """x -- lift1(w1) -- lift2(w2) -- y with w's on opposite summands."""
-        m1, m2 = lift1(_witness_or_filler(c1, tol)), lift2(_witness_or_filler(c2, tol))
+        m1, m2 = lift1(_witness_or_filler(c1)), lift2(_witness_or_filler(c2))
         candidates.extend([[m1], [m2], [m1, m2]])
 
     if _not_approx_right_invertible(a1, tol) and _not_approx_right_invertible(b2, tol):
@@ -343,7 +350,7 @@ def connect_direct_sum(
     def same_side_case(c1, c2, lift):
         """Both deficiencies in the same summand: lift a chain found there."""
         if c1.is_zero() or c2.is_zero() or projective_equal(c1, c2, tol):
-            candidates.append([lift(_witness_or_filler(c2 if c1.is_zero() else c1, tol))])
+            candidates.append([lift(_witness_or_filler(c2 if c1.is_zero() else c1))])
             return
         try:  # no certificates here: only the lifted winner gets them
             inner = _first_chain(c1, c2, _middle_candidates(c1, c2, tol), tol)
@@ -360,8 +367,7 @@ def connect_direct_sum(
         if bridge:
             candidates.append([lift(p) for p in bridge])
         candidates.append([l1, l2])
-        w1, w2 = non_isolated_witness(c1, tol), non_isolated_witness(c2, tol)
-        candidates.append([lift(w1), lift(w2)])
+        candidates.append([lift(_neighbor(c1)), lift(_neighbor(c2))])
 
     if _not_approx_right_invertible(b1, tol) and _not_approx_right_invertible(b2, tol):
         same_side_case(b1, b2, lift_b)

@@ -297,6 +297,40 @@ def test_interior_witness_on_traceless_direction(rng):
         assert verify_certificate(d, x, y)
 
 
+@pytest.mark.parametrize(
+    "shape,k,seed",
+    [([3], 2, 140), ([2, 3], 3, 27), ([4, 5], 4, 91), ([3, 3], 3, 41), ([3, 3], 2, 111)],
+)
+def test_plain_witness_has_zero_pairing(shape, k, seed):
+    # a rank-k projection against a full element: zero is interior to the
+    # compressed numerical range; ([3, 3], 2, 111) lies only 2.4e-7 deep, so
+    # the first boundary sample misses it and must be refined
+    rng = np.random.default_rng([seed, 7])
+    x = sample_element(shape, f"projection:{k}", rng)
+    y = sample_element(shape, "full", rng)
+    d = bj_orthogonal(x, y)
+    assert d.verdict and d.margin > BAND
+    assert isinstance(d.certificate, WitnessVector)
+    assert abs(d.certificate.pairing) <= 1e-12 * x.norm() * y.norm()
+    assert verify_certificate(d, x, y)
+
+
+@pytest.mark.parametrize("diag", [[1.0, -1.0], [1.0, -0.5, 1j], [2.0, 0.0], [1j, -2j, 0.5j]])
+def test_plain_witness_on_flat_numerical_ranges(diag, rng):
+    # normal directions whose numerical range is a segment through zero, or
+    # has zero on an edge or a corner: the support value is zero, and the
+    # boundary sample holds zero only in degenerate triangles
+    n = len(diag)
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    x = Element.identity([n])
+    for g in (np.diag(diag), np.exp(0.7j) * u @ np.diag(diag) @ u.conj().T):
+        y = Element([n], [g])
+        d = bj_orthogonal(x, y)
+        assert d.verdict and isinstance(d.certificate, WitnessVector)
+        assert abs(d.certificate.pairing) <= 1e-12 * y.norm()
+        assert verify_certificate(d, x, y)
+
+
 def test_scalar_invariance_spot(rng):
     for i in range(30):
         a = sample_element([2, 2], "deficient:1", 600 + i)

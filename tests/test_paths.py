@@ -383,3 +383,24 @@ def test_path_search_decides_each_edge_once(case, monkeypatch):
             # winner is re-verified, on the whole algebra
             assert len(certified) == path.length
             assert all(u.shape == path.vertices[0].shape for u, _ in certified)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 5)], ids=["2+3", "4+5"])
+def test_direct_sum_certifies_only_the_returned_path(shape, monkeypatch):
+    # the summand neighbors of the cross case are left to the search, so the
+    # only certified decisions are verify_path's, one per returned edge
+    from orthograph import paths
+
+    certified = []
+    real = paths.mutual_strong
+
+    def recording(u, v, tol, want_certificate=True):
+        if want_certificate:
+            certified.append((u, v))
+        return real(u, v, tol, want_certificate)
+
+    monkeypatch.setattr(paths, "mutual_strong", recording)
+    for i in range(5):
+        certified.clear()
+        path = connect_direct_sum(*_deficient_pair(shape, i), split=1)
+        assert len(certified) == path.length
