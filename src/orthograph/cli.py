@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .algebra import (
     Element,
@@ -329,10 +329,7 @@ def cmd_graph(args) -> int:
         "seed": cfg.seed,
         "samples": count,
         "shape": list(cfg.shape),
-        "tolerances": {
-            "proj": tol.proj, "vec": tol.vec, "eig": tol.eig,
-            "ker": tol.ker, "orth": tol.orth,
-        },
+        "tolerances": asdict(tol),
     }
     g = build_graph(verts, tol, provenance)
     if cfg.augment:

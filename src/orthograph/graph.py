@@ -9,7 +9,6 @@ reports label them as observed upper bounds.
 """
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,51 +152,41 @@ def classify_isolated(vertices, tol: Tolerances = DEFAULT_TOLERANCES) -> Isolati
     return IsolationReport(tuple(isolated), tuple(candidates), witnesses)
 
 
-def _bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
+def _distances(adj: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """All-pairs shortest-path lengths, -1 where no path (of at most cap
+    edges, when cap is given) exists.  The reached set grows one edge at a
+    time by a matrix product."""
     n = adj.shape[0]
-    dist = np.full(n, -1, dtype=int)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in np.nonzero(adj[u])[0]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(int(w))
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    reached = np.eye(n, dtype=np.float32)
+    step = adj.astype(np.float32)
+    for k in range(1, (n if cap is None else cap) + 1):
+        new = (reached @ step > 0) & (dist < 0)
+        if not new.any():
+            break
+        dist[new] = k
+        reached[new] = 1.0
     return dist
 
 
 def components_and_distances(g: Orthograph) -> ComponentReport:
     """Connected components, eccentricities and the histogram of observed
     shortest-path lengths (upper bounds for the full graph's distances)."""
-    n = g.order
-    seen = np.zeros(n, dtype=bool)
+    d = _distances(g.adjacency)
     components: list[tuple[int, ...]] = []
-    all_dist = np.full((n, n), -1, dtype=int)
-    for s in range(n):
-        all_dist[s] = _bfs_distances(g.adjacency, s)
-    for s in range(n):
-        if seen[s]:
-            continue
-        members = np.nonzero(all_dist[s] >= 0)[0]
-        seen[members] = True
-        components.append(tuple(int(i) for i in members))
-    ecc = {}
-    diameters = []
-    hist: dict[int, int] = {}
-    for comp in components:
-        comp_d = 0
-        for i in comp:
-            di = max(int(all_dist[i][j]) for j in comp)
-            ecc[i] = di
-            comp_d = max(comp_d, di)
-        diameters.append(comp_d)
-        for a_i, i in enumerate(comp):
-            for j in comp[a_i + 1 :]:
-                d = int(all_dist[i][j])
-                hist[d] = hist.get(d, 0) + 1
+    seen = np.zeros(g.order, dtype=bool)
+    for s in range(g.order):
+        if not seen[s]:
+            members = np.nonzero(d[s] >= 0)[0]
+            seen[members] = True
+            components.append(tuple(int(i) for i in members))
+    ecc = {int(i): int(e) for i, e in enumerate(d.max(axis=1, initial=0))}
+    diameters = tuple(max(ecc[i] for i in comp) for comp in components)
+    upper = d[np.triu_indices(g.order, 1)]
+    lengths, counts = np.unique(upper[upper >= 0], return_counts=True)
+    hist = dict(zip(lengths.tolist(), counts.tolist()))
     isolated = tuple(int(i) for i in np.nonzero(g.degrees() == 0)[0])
-    return ComponentReport(tuple(components), isolated, ecc, tuple(diameters), hist)
+    return ComponentReport(tuple(components), isolated, ecc, diameters, hist)
 
 
 def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, distance_cap: int = 4) -> Orthograph:
@@ -226,22 +215,14 @@ def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, dist
     guard = 0
     limit = 4 * (n * n + 16)
     while True:
-        noniso = [i for i, inv in enumerate(invertible) if not inv]
-        far = None
-        for ai, i in enumerate(noniso):
-            dist = _bfs_distances(adj, i)
-            for j in noniso[ai + 1 :]:
-                if dist[j] < 0 or dist[j] > distance_cap:
-                    far = (i, j)
-                    break
-            if far:
-                break
-        if far is None:
+        noniso = np.nonzero(~np.array(invertible, dtype=bool))[0]
+        far = np.argwhere(np.triu(_distances(adj, distance_cap)[np.ix_(noniso, noniso)] < 0, 1))
+        if far.size == 0:
             break
         guard += 1
         if guard > limit:
             raise VerificationFailed("augmentation did not converge")
-        i, j = far
+        i, j = noniso[far[0]]
         path = connect(verts[i], verts[j], tol)
         idxs = [add_vertex(v) for v in path.vertices]
         for u, w in zip(idxs, idxs[1:]):

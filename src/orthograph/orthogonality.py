@@ -18,14 +18,20 @@ Decision procedure (scalar form, both inputs normalized):
    delta = 1 - min over lam of ||x + lam y|| / ||x||: True iff
    delta <= tol.orth.  Drops within a factor of two of the tolerance are
    reported as indeterminate (the tie band) rather than forced to a verdict.
-   The minimum comes from the central-cut ellipsoid method in the lam-plane,
-   which certifies a lower bound as it goes and stops once the best value is
-   within 1e-13 of it, or at a step cap set by the method's volume bound.
+   Two proven bounds skip the minimizer (proofs in ``_decide``).  Fast true:
+   delta <= tol.eig + 2.2|f|, so f >= -1e-9 gives True.  Fast false, taken
+   only when no certificate is asked: with g = 1 - sigma_next/sigma_1 the
+   relative gap below the attaining cluster, delta >= est =
+   1 - sqrt(1 - f^2 g (4 + g) / 16), so est > 2.2*tol.orth gives False.
+   Otherwise the minimum comes from the central-cut ellipsoid method in the
+   lam-plane, which certifies a lower bound as it goes and stops once the
+   best value is within 1e-13 of it, or at a step cap set by the method's
+   volume bound.
 
 The margins of the three regimes are arranged so that |margin| <= 2*tol.orth
 is exactly the indeterminate band: clean interior decisions carry margin f,
 boundary-exact orthogonal pairs carry 3*tol.orth - delta, and failures carry
--delta.
+-delta (-est on the fast-false rule).
 
 The witness of a plain True verdict is exact, by Toeplitz-Hausdorff in closed
 form.  The top eigenvectors v_j of Re(e^{i theta} T) at n angles attain
@@ -85,18 +91,8 @@ __all__ = [
     "verify_certificate",
 ]
 
-# Support-functional magnitude beyond which the achievable drop provably
-# exceeds the tie band, so the expensive minimizer can be skipped when no
-# certificate is requested.  Both guards are required: the drop is at least
-# min(f^2/2, gap/2) where gap = 1 - sigma_2(x)/sigma_1(x), because descent
-# along the best direction is capped by the second singular value taking
-# over; with |f| > 1e-2 and gap > 1e-3 the drop exceeds 5e-5.
-_FAST_FALSE_CUT = 1e-2
-_FAST_FALSE_GAP = 1e-3
-
-# When f >= -cut, Cauchy-Schwarz through any near-attaining vector bounds the
-# achievable drop by tol.eig + 2.2 * cut, so the verdict is True without
-# running the minimizer (guarded against unusually tight tol.orth settings).
+# Support values f >= -cut decide True without the minimizer by the fast-true
+# bound of _decide (guarded against unusually tight tol.orth settings).
 _FAST_TRUE_CUT = 1e-9
 
 _SWEEP_POINTS = 720
@@ -400,8 +396,31 @@ def _decide(
     want_certificate: bool,
 ) -> OrthDecision:
     """Steps 2-3 of the decision procedure for nonzero x, y, given the
-    attaining basis v of x, the support value f and the singular gap.
-    ``witness()`` returns the compressed vector a True certificate lifts."""
+    attaining basis v of x, the support value f and the singular gap g.
+    ``witness()`` returns the compressed vector a True certificate lifts.
+
+    The fast rules bound the drop for normalized x, y.  V is the attaining
+    cluster: ||x p|| <= 1 and ||x p||^2 >= 1 - tol.eig for unit p in V, and
+    ||x q|| <= 1 - g for unit q in V-perp.  Write F = |f| <= ||T|| <= 1.
+
+    Fast true, drop <= tol.eig + 2.2 F for f < 0.  Every minimizer has
+    |lam| <= 2 (see _minimize_drop).  The top eigenvector p of
+    Re(e^{i arg lam} T), lifted into V, has Re(lam p* x* y p) >= |lam| f.
+    So ||x + lam y|| >= Re <x p, (x + lam y) p> / ||x p||
+    >= sqrt(1 - tol.eig) - 2F / sqrt(1 - tol.eig), and drop <= tol.eig +
+    2F / sqrt(1 - tol.eig), which 2.2 F covers for tol.eig <= 0.17.
+
+    Fast false, drop >= est = 1 - sqrt(1 - F^2 g (4 + g) / 16) for f < 0.
+    Let theta* attain f, so Re(e^{i theta*} p* x* y p) <= f on unit p in V,
+    and take lam = t e^{i theta*}.  Write a unit v as alpha p + beta q.
+    x*x keeps V and V-perp apart, so ||x v||^2 <= |alpha|^2 + |beta|^2 (1 - g)^2.
+    The cross terms of Re(e^{i theta*} v* x* y v) are at most
+    |alpha||beta| (2 - g), the q term at most |beta|^2 (1 - g), and
+    ||lam y v||^2 <= t^2.  With c = g(2 - g) - 2t(F + 1 - g), maximizing
+    over |beta| gives ||(x + lam y) v||^2 <= 1 - 2tF + t^2 + t^2 (2 - g)^2 / c.
+    t = F g / 4 makes c >= g(2 - g) / 2, since F <= 1, and the bound
+    1 - F^2 g (4 + g) / 16.  The rule holds at every tolerance setting:
+    est > 2.2*tol.orth puts the verdict False outside the tie band."""
     if f > 2.0 * tol.orth:
         cert = _make_witness(x, y, v, witness()) if want_certificate else None
         return OrthDecision(True, float(f), False, cert, support_min=float(f), drop=None)
@@ -412,15 +431,8 @@ def _decide(
         cert = _make_witness(x, y, v, witness()) if want_certificate else None
         return OrthDecision(True, float(margin), False, cert, support_min=float(f), drop=None)
 
-    # sound only when the guaranteed drop min(f^2/2, gap/2) clears the band,
-    # which the fixed cutoffs do not ensure for inflated tolerances
-    false_is_safe = (
-        f < -_FAST_FALSE_CUT
-        and 0.5 * f * f > 2.2 * tol.orth
-        and gap > max(_FAST_FALSE_GAP, 4.4 * tol.orth)
-    )
-    if false_is_safe and not want_certificate:
-        est = 1.0 - np.sqrt(max(0.0, 1.0 - f * f))
+    est = 1.0 - np.sqrt(1.0 - min(f, 0.0) ** 2 * gap * (4.0 + gap) / 16.0)
+    if est > 2.2 * tol.orth and not want_certificate:
         return OrthDecision(False, -float(est), False, None, support_min=float(f), drop=None)
 
     lam_n, achieved_n = _minimize_drop(x.normalized_blocks(), y.normalized_blocks())

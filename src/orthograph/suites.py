@@ -99,15 +99,6 @@ def _rng(seed, salt):
     return np.random.default_rng([seed, salt])
 
 
-def _random_element(shape: AlgebraShape, rng) -> Element:
-    return Element(shape, [standard_normal_complex(rng, (n, n)) for n in shape.blocks])
-
-
-def _random_rank_one_projection(n: int, rng) -> np.ndarray:
-    v = standard_normal_complex(rng, n)
-    return _linalg.rank_one(v / np.linalg.norm(v))
-
-
 _E11 = Element([2], [np.diag([1.0, 0.0])])
 _E22 = Element([2], [np.diag([0.0, 1.0])])
 _I2 = Element.identity([2])
@@ -124,7 +115,7 @@ def cstar_identity(samples, seed, tol):
     shape = AlgebraShape([3, 2])
     fails = 0
     for _ in range(samples):
-        a = _random_element(shape, rng)
+        a = sample_element(shape, "full", rng)
         lhs = (a @ a.adjoint()).norm()
         if abs(lhs - a.norm() ** 2) > 1e-9 * a.norm() ** 2:
             fails += 1
@@ -173,7 +164,7 @@ def state_compression_identity(samples, seed, tol):
     fails = 0
     for i in range(samples):
         rho = random_pure_state(shape, rng)
-        a = _random_element(shape, rng)
+        a = sample_element(shape, "full", rng)
         p = minimal_projection_from_state(rho).element
         resid = (p @ a @ p - rho(a) * p).norm()
         if resid > 1e-9 * a.norm():

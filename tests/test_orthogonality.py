@@ -117,6 +117,72 @@ def test_gap_capped_pair_is_true_without_certificates():
     assert d.verdict and not d.indeterminate
 
 
+def _small_gap_pair(name):
+    x = Element([2], [np.diag([1.0, 0.9989])])
+    y = Element([2], [np.array([[-0.008, 0.7], [0.7, 0.0]])])
+    if name == "m3":
+        x = Element([3], [np.diag([1.0, 0.9988, 0.3])])
+        y = Element([3], [np.array([[-0.008, 0.7, 0.1], [0.7, 0.0, 0.0], [0.2, 0.0, 0.4]])])
+    elif name == "m2_in_2+3":
+        x, y = embed(x, 0, [2, 3]), embed(y, 0, [2, 3])
+    return x, y
+
+
+@pytest.mark.parametrize("name", ["m2", "m3", "m2_in_2+3"])
+def test_uncertified_false_agrees_with_certified_on_small_gaps(name):
+    # |f| is large but the singular gap is about 1e-3: the drop is only
+    # about 4e-8, so the fast-false rule must not fire
+    x, y = _small_gap_pair(name)
+    fast = bj_orthogonal(x, y, want_certificate=False)
+    cert = bj_orthogonal(x, y)
+    _, achieved = brute_force_min_lambda(x, y, 100, 40)
+    oracle = achieved >= x.norm() * (1 - TOL.orth)
+    assert not (fast.indeterminate or cert.indeterminate)
+    assert fast.verdict == cert.verdict == oracle
+
+
+def _gapped_pairs(count=100):
+    """(x, y, gap, f, drop): x with a top singular value 1 and a relative
+    gap 10^U(-4, 0) below it, y a plain or a strong (b b* a) direction with
+    support value f < 0, and the certified drop of the 2-D minimizer."""
+    from orthograph.orthogonality import _attaining_basis, _minimize_drop
+
+    rng = np.random.default_rng(20261019)
+    shapes = ([2], [3], [4], [2, 3], [3, 3])
+    out = []
+    while len(out) < count:
+        shape = shapes[len(out) % len(shapes)]
+        gap = 10.0 ** rng.uniform(-4.0, 0.0)
+        sv = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 1.0 - gap, sum(shape) - 2)])
+        sv = iter(rng.permutation(sv))
+        blocks = []
+        for n in shape:
+            u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            w = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            blocks.append(u @ np.diag([next(sv) for _ in range(n)]) @ w.conj().T)
+        x = Element(shape, blocks)
+        b = random_element(shape, rng)
+        if len(out) % 2:
+            y, f = b, bj_orthogonal(x, b, want_certificate=False).support_min
+        else:
+            y, f = strong_direction(x, b), strong_bj(x, b, want_certificate=False).support_min
+        if f is None or f >= 0.0:
+            continue
+        drop = 1.0 - _minimize_drop(x.normalized_blocks(), y.normalized_blocks())[1]
+        out.append((x, y, _attaining_basis(x, TOL)[1], f, drop))
+    return out
+
+
+def test_drop_bounds_hold():
+    # the two fast-rule bounds of orthogonality._decide against the
+    # certified minimum: est <= drop <= tol.eig + 2.2 |f|
+    for x, y, gap, f, drop in _gapped_pairs():
+        assert gap == pytest.approx(1.0 - np.linalg.svd(x.assemble(), compute_uv=False)[1], abs=1e-12)
+        est = 1.0 - np.sqrt(1.0 - f * f * gap * (4.0 + gap) / 16.0)
+        assert est <= drop + 1e-13
+        assert drop <= TOL.eig + 2.2 * abs(f)
+
+
 # ------------------------------------------------------------ strong form
 
 
