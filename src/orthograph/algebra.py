@@ -139,9 +139,11 @@ class Element:
 
     Blocks are read-only copies, so data derived from them is computed at
     most once and kept on the element: the norm, the normalized blocks and
-    normalized assembled matrix, and (in :mod:`orthograph.orthogonality`)
-    the norm-attaining basis and singular gap for each ``tol.eig``.  Every
-    operation returns a new element with nothing memoized.
+    normalized assembled matrix, the right-invertibility verdict for each
+    ``tol.ker``, and for each ``tol.eig`` the norm-attaining basis and
+    singular gap (in :mod:`orthograph.orthogonality`) and the kernel
+    projection with its spectral end vectors (in :mod:`orthograph.paths`).
+    Every operation returns a new element with nothing memoized.
     """
 
     shape: AlgebraShape
@@ -171,14 +173,6 @@ class Element:
     def identity(cls, shape) -> "Element":
         shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
         return cls(shape, [np.eye(n) for n in shape.blocks])
-
-    @classmethod
-    def from_matrix(cls, mat, shape=None) -> "Element":
-        """Wrap a single square matrix as an element of M_n."""
-        mat = np.asarray(mat, dtype=complex)
-        if shape is None:
-            shape = AlgebraShape([mat.shape[0]])
-        return cls(shape, [mat])
 
     @classmethod
     def rank_one_in_block(cls, shape, block_index: int, vector) -> "Element":
@@ -247,10 +241,6 @@ class Element:
     def is_zero(self) -> bool:
         return all(np.all(b == 0) for b in self.blocks)
 
-    def is_hermitian(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        scale = max(self.norm(), 1.0)
-        return all(_linalg.opnorm(b - b.conj().T) <= tol.proj * scale for b in self.blocks)
-
     def __repr__(self):
         return f"Element(shape={list(self.shape.blocks)}, norm={self.norm():.4g})"
 
@@ -271,16 +261,14 @@ def is_right_invertible(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> boo
 
     Equivalently: every vector state is strictly positive on a a*.  In these
     algebras this single check also decides approximate right invertibility.
+    Derived once per ``tol.ker`` and kept on a.
     """
     na = a.norm()
     if na == 0.0:
         raise ZeroElement("zero element is neither invertible nor a vertex")
     cut = tol.ker * na * na
-    for b in a.blocks:
-        w = np.linalg.eigvalsh(_linalg.hermitian_part(b @ b.conj().T))
-        if w[0] <= cut:
-            return False
-    return True
+    return a._cached(("right_invertible", tol.ker), lambda: not any(
+        np.linalg.eigvalsh(_linalg.hermitian_part(b @ b.conj().T))[0] <= cut for b in a.blocks))
 
 
 def _validate_psd(a: Element, tol: Tolerances) -> float:
@@ -366,27 +354,20 @@ def kernel_projection(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Proje
     return Projection(Element(a.shape, blocks), tuple(ranks))
 
 
-def _blockwise_extreme_vector(a: Element, tol: Tolerances, top: bool) -> tuple[int, np.ndarray]:
-    """Deterministic (block, unit vector) for the top or bottom eigenvalue
-    cluster of a Hermitian element, cluster width ``tol.eig * norm(a)``."""
-    na = a.norm()
-    spectra = []
-    for b in a.blocks:
-        w, u = np.linalg.eigh(_linalg.hermitian_part(b))
-        spectra.append((w, u))
-    if top:
-        best = max(w[-1] for w, _ in spectra)
-        width = tol.eig * max(na, 1e-300)
-        idx = next(i for i, (w, _) in enumerate(spectra) if w[-1] >= best - width)
+def _blockwise_extreme_vectors(a: Element, tol: Tolerances) -> tuple[tuple[int, np.ndarray], ...]:
+    """Deterministic (block, unit vector) for the bottom and for the top
+    eigenvalue cluster of a Hermitian element, cluster width
+    ``tol.eig * norm(a)``, from one eigendecomposition per block.  The top
+    end is the bottom end of -a."""
+    width = tol.eig * max(a.norm(), 1e-300)
+    spectra = [np.linalg.eigh(_linalg.hermitian_part(b)) for b in a.blocks]
+    ends = []
+    for sign, end in ((1.0, 0), (-1.0, -1)):
+        best = min(sign * w[end] for w, _ in spectra)
+        idx = next(i for i, (w, _) in enumerate(spectra) if sign * w[end] <= best + width)
         w, u = spectra[idx]
-        basis = u[:, w >= best - width]
-    else:
-        best = min(w[0] for w, _ in spectra)
-        width = tol.eig * max(na, 1e-300)
-        idx = next(i for i, (w, _) in enumerate(spectra) if w[0] <= best + width)
-        w, u = spectra[idx]
-        basis = u[:, w <= best + width]
-    return idx, _linalg.canonical_unit_vector(basis)
+        ends.append((idx, _linalg.canonical_unit_vector(u[:, sign * w <= best + width])))
+    return tuple(ends)
 
 
 def top_minimal_projection(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> Projection:
@@ -400,7 +381,7 @@ def top_minimal_projection(a: Element, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     na = _validate_psd(a, tol)
     if na == 0.0:
         raise ZeroElement("zero element has no top projection")
-    idx, v = _blockwise_extreme_vector(a, tol, top=True)
+    idx, v = _blockwise_extreme_vectors(a, tol)[1]
     return Projection.rank_one(a.shape, idx, v)
 
 

@@ -108,9 +108,14 @@ def _check_vertices(vertices) -> tuple[AlgebraShape, list[Element]]:
 def _insert_vertex(verts: list[Element], adj: np.ndarray, indet: set, w: Element,
                    tol: Tolerances) -> tuple[int, np.ndarray]:
     """The index of w's projective class among verts (the first projectively
-    equal vertex), and the adjacency.  A new w is appended and decided against
-    every earlier vertex: its edges go into the grown adjacency returned, its
-    tie-band pairs into indet."""
+    equal vertex), and the adjacency.  A w that verts already holds is found
+    by identity, without the scan: each held vertex passed the scan when it
+    was admitted, so its own index is the one the scan would return.  A new w
+    is appended and decided against every earlier vertex: its edges go into
+    the grown adjacency returned, its tie-band pairs into indet."""
+    held = next((i for i, u in enumerate(verts) if u is w), None)
+    if held is not None:
+        return held, adj
     for i, u in enumerate(verts):
         if projective_equal(w, u, tol):
             return i, adj
@@ -189,13 +194,14 @@ def components_and_distances(g: Orthograph) -> ComponentReport:
     return ComponentReport(tuple(components), isolated, ecc, diameters, hist)
 
 
-def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, distance_cap: int = 4) -> Orthograph:
+def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES) -> Orthograph:
     """Join all non-right-invertible vertices into one component with
-    pairwise observed distance <= distance_cap, inserting verified path
-    vertices as needed.
+    pairwise observed distance <= 4, inserting verified path vertices as
+    needed.
 
-    Intermediates are deduplicated against existing vertices; each new vertex
-    is linked against the whole graph so added structure is reusable.
+    A path's interior vertices are deduplicated against existing vertices
+    (its ends are the vertices it joins); each new vertex is linked against
+    the whole graph so added structure is reusable.
     """
     if g.shape.is_small():
         raise SmallAlgebra(f"shape {list(g.shape.blocks)} is excluded")
@@ -203,20 +209,12 @@ def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, dist
     n = len(verts)
     adj = np.array(g.adjacency, dtype=bool).copy()
     indet = {tuple(sorted(p)) for p in g.indeterminate_pairs}
-    invertible = [is_right_invertible(v, tol) for v in verts]
-
-    def add_vertex(w: Element) -> int:
-        nonlocal adj
-        i, adj = _insert_vertex(verts, adj, indet, w, tol)
-        if i == len(invertible):
-            invertible.append(is_right_invertible(w, tol))
-        return i
 
     guard = 0
     limit = 4 * (n * n + 16)
     while True:
-        noniso = np.nonzero(~np.array(invertible, dtype=bool))[0]
-        far = np.argwhere(np.triu(_distances(adj, distance_cap)[np.ix_(noniso, noniso)] < 0, 1))
+        noniso = np.flatnonzero([not is_right_invertible(v, tol) for v in verts])
+        far = np.argwhere(np.triu(_distances(adj, 4)[np.ix_(noniso, noniso)] < 0, 1))
         if far.size == 0:
             break
         guard += 1
@@ -224,17 +222,20 @@ def augment_with_paths(g: Orthograph, tol: Tolerances = DEFAULT_TOLERANCES, dist
             raise VerificationFailed("augmentation did not converge")
         i, j = noniso[far[0]]
         path = connect(verts[i], verts[j], tol)
-        idxs = [add_vertex(v) for v in path.vertices]
-        for u, w in zip(idxs, idxs[1:]):
-            adj[u, w] = adj[w, u] = True
+        prev = i
+        for v in path.vertices[1:-1]:
+            k, adj = _insert_vertex(verts, adj, indet, v, tol)
+            adj[prev, k] = adj[k, prev] = True
+            prev = k
+        if path.length:
+            adj[prev, j] = adj[j, prev] = True
 
     # a lone non-invertible vertex has no partner to pair with above, but it
     # is still not isolated: attach its verified witness so that degree zero
     # characterizes right invertibility on the augmented graph
     for i in range(len(verts)):
-        if not invertible[i] and not adj[i].any():
-            w = non_isolated_witness(verts[i], tol)
-            j = add_vertex(w)
+        if not adj[i].any() and not is_right_invertible(verts[i], tol):
+            j, adj = _insert_vertex(verts, adj, indet, non_isolated_witness(verts[i], tol), tol)
             adj[i, j] = adj[j, i] = True
 
     prov = dict(g.provenance)

@@ -62,6 +62,7 @@ minimizer.  On the fast-true rule its margin is the boundary formula
 tolerances, only 0.9e-7 outside the tie band.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,10 +395,12 @@ def _decide(
     witness,
     tol: Tolerances,
     want_certificate: bool,
+    y_exp: int = 0,
 ) -> OrthDecision:
     """Steps 2-3 of the decision procedure for nonzero x, y, given the
     attaining basis v of x, the support value f and the singular gap g.
     ``witness()`` returns the compressed vector a True certificate lifts.
+    Certificates refer to the direction 2^y_exp y.
 
     The fast rules bound the drop for normalized x, y.  V is the attaining
     cluster: ||x p|| <= 1 and ||x p||^2 >= 1 - tol.eig for unit p in V, and
@@ -422,13 +425,13 @@ def _decide(
     1 - F^2 g (4 + g) / 16.  The rule holds at every tolerance setting:
     est > 2.2*tol.orth puts the verdict False outside the tie band."""
     if f > 2.0 * tol.orth:
-        cert = _make_witness(x, y, v, witness()) if want_certificate else None
+        cert = _make_witness(x, y, v, witness(), y_exp) if want_certificate else None
         return OrthDecision(True, float(f), False, cert, support_min=float(f), drop=None)
 
     drop_bound = tol.eig + 2.2 * _FAST_TRUE_CUT
     if f >= -_FAST_TRUE_CUT and drop_bound <= 0.5 * tol.orth:
         margin = 3.0 * tol.orth - (tol.eig + 2.2 * max(0.0, -f))
-        cert = _make_witness(x, y, v, witness()) if want_certificate else None
+        cert = _make_witness(x, y, v, witness(), y_exp) if want_certificate else None
         return OrthDecision(True, float(margin), False, cert, support_min=float(f), drop=None)
 
     est = 1.0 - np.sqrt(1.0 - min(f, 0.0) ** 2 * gap * (4.0 + gap) / 16.0)
@@ -439,6 +442,7 @@ def _decide(
     drop = max(0.0, 1.0 - achieved_n)
     nx = x.norm()
     lam = lam_n * nx / y.norm()
+    lam = complex(*np.ldexp([lam.real, lam.imag], -y_exp))
     achieved = achieved_n * nx
 
     if drop <= 0.5 * tol.orth:
@@ -453,21 +457,22 @@ def _decide(
 
     cert = None
     if want_certificate:
-        cert = _make_witness(x, y, v, witness()) if verdict else MinimizingScalar(lam, achieved)
+        cert = _make_witness(x, y, v, witness(), y_exp) if verdict else MinimizingScalar(lam, achieved)
     indet = abs(margin) <= 2.0 * tol.orth
     return OrthDecision(verdict, float(margin), indet, cert, support_min=float(f), drop=float(drop))
 
 
-def _make_witness(x: Element, y: Element, v_basis: np.ndarray, vc: np.ndarray) -> WitnessVector:
+def _make_witness(x: Element, y: Element, v_basis: np.ndarray, vc: np.ndarray, y_exp: int) -> WitnessVector:
     """Lift the unit compressed vector vc by the orthonormal attaining basis
-    and record what it attains against the unnormalized operands."""
+    and record what it attains against the unnormalized operands x and
+    2^y_exp y."""
     vec = v_basis @ vc
     vec = vec / np.linalg.norm(vec)
     xv = x.assemble() @ vec
     return WitnessVector(
         vector=vec,
         attained_norm=float(np.linalg.norm(xv)),
-        pairing=complex(np.vdot(xv, y.assemble() @ vec)),
+        pairing=complex(np.vdot(xv, np.ldexp((y.assemble() @ vec).view(float), y_exp).view(complex))),
     )
 
 
@@ -504,19 +509,31 @@ def strong_bj(
     is -lambda_min(T) in closed form (see the module docstring).  When z
     vanishes (below ``tol.ker`` relative to the operand scales) the statement
     is vacuously true and the margin is ||a||.
+
+    z is formed from a 2^-ea and b 2^-eb, ea and eb the binary exponents of
+    ||a|| and ||b||, so it is exact and cannot underflow; certificates refer
+    to the unscaled b b* a.  Raises ``ValueError`` where that may overflow,
+    2 eb + ea > 1024.
     """
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
     na = a.norm()
     if na == 0.0:
         raise ZeroElement("orthogonality is undefined for the zero element")
-    z = strong_direction(a, b)
-    nb = b.norm()
-    if z.norm() <= tol.ker * nb * nb * na:
+    (ma, ea), (mb, eb) = math.frexp(na), math.frexp(b.norm())
+    k = 2 * eb + ea
+    if k > 1024:
+        raise ValueError(f"the strong direction b b* a overflows (binary exponent {k})")
+    sa = [np.ldexp(blk.view(float), -ea).view(complex) for blk in a.blocks]
+    sb = [np.ldexp(blk.view(float), -eb).view(complex) for blk in b.blocks]
+    z = Element(a.shape, [q @ q.conj().T @ p for p, q in zip(sa, sb)])
+    if z.norm() <= tol.ker * mb * mb * ma:
         return _vacuous_true(na)
     v, gap = _attaining_basis(a, tol)
     t = v.conj().T @ a.normalized_matrix().conj().T @ z.normalized_matrix() @ v
     w, u = np.linalg.eigh(_linalg.hermitian_part(t))
     f = min(-float(w[0]), 0.0)
-    return _decide(a, z, v, f, gap, lambda: u[:, 0], tol, want_certificate)
+    return _decide(a, z, v, f, gap, lambda: u[:, 0], tol, want_certificate, k)
 
 
 def mutual_strong(

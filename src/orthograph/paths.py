@@ -28,11 +28,10 @@ import numpy as np
 from . import _linalg
 from .algebra import (
     DEFAULT_TOLERANCES,
-    AlgebraShape,
     Element,
     Projection,
     Tolerances,
-    _blockwise_extreme_vector,
+    _blockwise_extreme_vectors,
     abs_star,
     embed,
     is_right_invertible,
@@ -213,10 +212,24 @@ def third_projection(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL
     raise VerificationFailed("no free direction found")  # unreachable off small shapes
 
 
-def _rank2_bridge(shape: AlgebraShape, u, ta, v, tb) -> list[Element]:
+def _kernel_end(e: Element, tol: Tolerances) -> tuple[Projection, np.ndarray, np.ndarray]:
+    """(q_e, bottom, top): the rank-one projection q_e onto the deterministic
+    bottom eigenvector of |e*| / ||e|| (a kernel vector of e* when e is not
+    right invertible), that vector, and the top eigenvector.  Derived once
+    per ``tol.eig`` and kept on e, so q_e is one object across all searches."""
+
+    def derive():
+        (idx, bottom), (_, top) = _blockwise_extreme_vectors(abs_star(e) * (1.0 / e.norm()), tol)
+        return Projection.rank_one(e.shape, idx, bottom), bottom, top
+
+    return e._cached(("kernel_end", tol.eig), derive)
+
+
+def _rank2_bridge(a: Element, b: Element, tol: Tolerances) -> list[Element]:
     """Two rank-two projections P1, P2 with a -- P1 -- P2 -- b in a single
-    block of size n >= 4, from the kernel vectors u, v and the top vectors
-    ta, tb of a and b; empty when a complement runs out.
+    block of size n >= 4, from the bottom (kernel) vectors u, v and the top
+    vectors ta, tb of a and b; empty in other shapes or when a complement
+    runs out.
 
     P1 spans u and an auxiliary u' orthogonal to the norm-attaining vector of
     a; u' is then matched against a vector v' chosen so the 2x2 pairing
@@ -224,7 +237,10 @@ def _rank2_bridge(shape: AlgebraShape, u, ta, v, tb) -> list[Element]:
     mutually annihilating range vectors the middle edge needs.  The last
     constraint costs one dimension, hence n >= 4.
     """
-    n = shape.blocks[0]
+    shape, n = a.shape, a.shape.blocks[0]
+    if shape.m != 1 or n < 4:
+        return []
+    (_, u, ta), (_, v, tb) = _kernel_end(a, tol), _kernel_end(b, tol)
     comp_u = _linalg.orthonormal_complement([u, ta], n)
     if comp_u.shape[1] == 0:
         return []
@@ -241,34 +257,17 @@ def _rank2_bridge(shape: AlgebraShape, u, ta, v, tb) -> list[Element]:
             Element(shape, [_linalg.rank_one(v) + _linalg.rank_one(vp)])]
 
 
-def _kernel_ends(a: Element, b: Element, tol: Tolerances) -> tuple[Projection, Projection, list[Element]]:
-    """The rank-one projections q_a, q_b onto the deterministic bottom
-    eigenvectors of |a*| / ||a|| and |b*| / ||b|| (kernel vectors of a*, b*
-    when neither is right invertible) and, in a single block of size >= 4,
-    the rank-two bridge built from them and the top eigenvectors (else an
-    empty list).  Each endpoint's spectral vectors are derived once."""
-    shape = a.shape
-    bridged = shape.m == 1 and shape.blocks[0] >= 4
-    ends = []
-    for e in (a, b):
-        eh = abs_star(e) * (1.0 / e.norm())
-        idx, bottom = _blockwise_extreme_vector(eh, tol, top=False)
-        top = _blockwise_extreme_vector(eh, tol, top=True)[1] if bridged else None
-        ends.append((Projection.rank_one(shape, idx, bottom), bottom, top))
-    (qa, u, ta), (qb, v, tb) = ends
-    return qa, qb, _rank2_bridge(shape, u, ta, v, tb) if bridged else []
-
-
 def _middle_candidates(a: Element, b: Element, tol: Tolerances) -> list[list[Element]]:
     """Candidate interior-vertex chains between a and b, shortest first.
 
     The final candidate (kernel projection, third projection, kernel
     projection) is the guaranteed fallback; everything before it is a
     trimming attempt."""
-    qa, qb, bridge = _kernel_ends(a, b, tol)
+    qa, qb = _kernel_end(a, tol)[0], _kernel_end(b, tol)[0]
     r = third_projection(qa, qb, tol)
     ea, eb, er = qa.element, qb.element, r.element
     candidates: list[list[Element]] = [[], [ea], [er], [eb], [ea, eb]]
+    bridge = _rank2_bridge(a, b, tol)
     if bridge:
         candidates.append(bridge)
     candidates.extend([[ea, er], [er, eb], [ea, er, eb]])
@@ -361,9 +360,9 @@ def connect_direct_sum(
             return
         # the summand chain is a single edge (or unavailable): pad with
         # kernel projections / the rank-two bridge / alternating witnesses
-        q1, q2, bridge = _kernel_ends(c1, c2, tol)
-        l1, l2 = lift(q1.element), lift(q2.element)
+        l1, l2 = (lift(_kernel_end(c, tol)[0].element) for c in (c1, c2))
         candidates.extend([[l1], [l2]])
+        bridge = _rank2_bridge(c1, c2, tol)
         if bridge:
             candidates.append([lift(p) for p in bridge])
         candidates.append([l1, l2])

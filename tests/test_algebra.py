@@ -413,3 +413,15 @@ def test_tolerances_validation():
     t = Tolerances()
     assert t.proj == 1e-9 and t.vec == 1e-9
     assert t.eig == 1e-8 and t.ker == 1e-8 and t.orth == 1e-7
+
+
+def test_right_invertibility_is_kept_per_ker_tolerance():
+    # a a* has eigenvalues 1, 1, 4e-8: invertible at ker 1e-8, not at 1e-7
+    def element():
+        return Element([3], [np.diag([1.0, 1.0, 2e-4])])
+
+    tols = (TOL, Tolerances(ker=1e-7), TOL, Tolerances(ker=1e-7))
+    a = element()
+    reused = [is_right_invertible(a, tol) for tol in tols]
+    fresh = [is_right_invertible(element(), tol) for tol in tols]
+    assert reused == fresh == [True, False, True, False]

@@ -222,3 +222,27 @@ def test_graph_command_verdicts_pinned(job, order, edges, indeterminate, tmp_pat
     got = [(i, j) for i in range(g.order) for j in range(i + 1, g.order) if g.adjacency[i, j]]
     assert got == edges
     assert [list(p) for p in g.indeterminate_pairs] == indeterminate
+
+
+def test_augmentation_dedupes_only_new_vertices(monkeypatch):
+    # path ends and reused kernel projections are vertices the graph holds:
+    # they must never be scanned against it again
+    from orthograph import graph
+
+    held, scanned, offenders = [], [], []
+    insert, equal = graph._insert_vertex, graph.projective_equal
+
+    def spy_insert(verts, *args):
+        held[:] = [verts]
+        return insert(verts, *args)
+
+    def spy_equal(w, u, tol):
+        scanned.append(w)
+        offenders.extend(v for v in held[0] if v is w)
+        return equal(w, u, tol)
+
+    monkeypatch.setattr(graph, "_insert_vertex", spy_insert)
+    monkeypatch.setattr(graph, "projective_equal", spy_equal)
+    g = augment_with_paths(build_graph(sample_vertices([3], 6, 0)))
+    assert g.order > 6 and scanned
+    assert offenders == []

@@ -542,3 +542,50 @@ def test_attaining_basis_is_kept_per_eig_tolerance():
                 f.verdict, f.margin, f.indeterminate, f.support_min, f.drop)
         # the two tolerances really do reach different regimes here
         assert reused[0].support_min != reused[1].support_min
+
+
+def _pinned_strong_pairs():
+    """Deficient pairs and (deficient, witness) pairs over three shapes."""
+    from orthograph import non_isolated_witness
+
+    rng = np.random.default_rng(7)
+    pairs = []
+    for shape in ([3], [2, 3], [4, 5]):
+        for _ in range(2):
+            x = sample_element(shape, "deficient:1", rng)
+            pairs.append((x, sample_element(shape, "deficient:1", rng)))
+            pairs.append((x, non_isolated_witness(x)))
+    return pairs
+
+
+def test_strong_decisions_are_bitwise_invariant_under_powers_of_two():
+    def fields(d):
+        return d.verdict, d.margin, d.indeterminate, d.support_min, d.drop
+
+    for x, y in _pinned_strong_pairs():
+        fwd, bwd = strong_bj(x, y, want_certificate=False), strong_bj(y, x, want_certificate=False)
+        assert fwd.support_min is not None and bwd.support_min is not None
+        for k in (300, -300):
+            xs = x * 2.0 ** k
+            assert fields(strong_bj(xs, y, want_certificate=False)) == fields(fwd)
+            assert fields(strong_bj(y, xs, want_certificate=False)) == fields(bwd)
+
+
+def test_strong_direction_does_not_underflow():
+    # (a s)(a s)* b underflows for tiny s; the decision must not turn vacuous
+    rng = np.random.default_rng(5)
+    pairs = [(sample_element([3], "deficient:1", rng), sample_element([3], "full", rng)) for _ in range(40)]
+    for s in (1.0, 1e-170, 1e-200, 1e-300):
+        for a, b in pairs:
+            assert mutual_strong(a * s, b, want_certificate=False).verdicts == (False, False)
+
+
+def test_strong_direction_beyond_the_float_range_raises():
+    import warnings
+
+    rng = np.random.default_rng(5)
+    a, b = sample_element([3], "deficient:1", rng), sample_element([3], "full", rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            mutual_strong(a * 1e200, b, want_certificate=False)

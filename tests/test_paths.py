@@ -404,3 +404,25 @@ def test_direct_sum_certifies_only_the_returned_path(shape, monkeypatch):
         certified.clear()
         path = connect_direct_sum(*_deficient_pair(shape, i), split=1)
         assert len(certified) == path.length
+
+
+def test_kernel_ends_derived_once_per_endpoint(monkeypatch):
+    # an endpoint's kernel data is kept on it, so a second search from the
+    # same endpoint derives nothing for it again
+    from collections import Counter
+
+    from orthograph import paths
+
+    derived = Counter()
+    real = paths.abs_star
+
+    def counting(e):
+        derived[id(e)] += 1
+        return real(e)
+
+    monkeypatch.setattr(paths, "abs_star", counting)
+    rng = np.random.default_rng(11)
+    a, b1, b2 = (sample_element([3], "deficient:1", rng) for _ in range(3))
+    connect(a, b1)
+    connect(a, b2)
+    assert derived == {id(a): 1, id(b1): 1, id(b2): 1}
