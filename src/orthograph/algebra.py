@@ -140,9 +140,10 @@ class Element:
     Blocks are read-only copies, so data derived from them is computed at
     most once and kept on the element: the norm, the normalized blocks and
     normalized assembled matrix, the right-invertibility verdict for each
-    ``tol.ker``, and for each ``tol.eig`` the norm-attaining basis and
-    singular gap (in :mod:`orthograph.orthogonality`) and the kernel
-    projection with its spectral end vectors (in :mod:`orthograph.paths`).
+    ``tol.ker``, the blocks scaled by a power of two to a norm in [1/2, 1)
+    and, for each ``tol.eig``, the norm-attaining basis and singular gap (in
+    :mod:`orthograph.orthogonality`) and the kernel projection with its
+    spectral end vectors (in :mod:`orthograph.paths`).
     Every operation returns a new element with nothing memoized.
     """
 

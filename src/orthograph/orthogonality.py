@@ -23,10 +23,11 @@ Decision procedure (scalar form, both inputs normalized):
    only when no certificate is asked: with g = 1 - sigma_next/sigma_1 the
    relative gap below the attaining cluster, delta >= est =
    1 - sqrt(1 - f^2 g (4 + g) / 16), so est > 2.2*tol.orth gives False.
-   Otherwise the minimum comes from the central-cut ellipsoid method in the
-   lam-plane, which certifies a lower bound as it goes and stops once the
-   best value is within 1e-13 of it, or at a step cap set by the method's
-   volume bound.
+   Otherwise a certified search finds the minimum: it keeps a lower bound
+   as it goes and stops once the best value is within 1e-13 of it, or at a
+   derived step cap.  The plain form searches the lam-plane by the
+   central-cut ellipsoid method, the strong form the real segment
+   lam in [-2, 0] by a bracket search (below).
 
 The margins of the three regimes are arranged so that |margin| <= 2*tol.orth
 is exactly the indeterminate band: clean interior decisions carry margin f,
@@ -55,6 +56,15 @@ C*-modules (Arambasic-Rajic 2014): a is strongly orthogonal to b iff some
 unit vector xi in the norm-attaining space of a has b* a xi = 0.  The sweep
 and the convexity-based witness construction serve the plain form only.
 
+The strong drop is a 1-D problem.  The direction is P a with P = b b* >= 0
+blockwise, and (1 + lam P)*(1 + lam P) = 1 + 2 Re lam P + |lam|^2 P^2, so
+||a + lam P a||^2 = max over blocks of lambda_max(a*a + 2 Re lam a*Pa +
+|lam|^2 a*P^2a).  It does not grow as Im lam shrinks to 0, and it is at
+least ||a||^2 for Re lam >= 0: the minimum over complex lam is attained at
+a real lam = -t, t in [0, 2] for normalized operands.  A bracket search over
+t (``_minimize_strong_drop``) replaces the ellipsoid there; both take value
+and slope from the same top singular pair.
+
 Because f <= 0, a non-vacuous strong True verdict never reaches the interior
 regime: it is decided on the boundary, by the fast-true rule or by the
 minimizer.  On the fast-true rule its margin is the boundary formula
@@ -74,6 +84,7 @@ from .algebra import (
     Projection,
     PureState,
     Tolerances,
+    _read_only,
     _validate_psd,
 )
 from .errors import NotNormalized, ShapeMismatch, ZeroElement
@@ -342,10 +353,32 @@ def _attain_zero(t: np.ndarray, f: float) -> np.ndarray:
 _DROP_GAP = 1e-13
 _DROP_STEPS = 240
 
+# Step cap of _minimize_strong_drop.  The bracket starts as [0, 2].  A step
+# at the meeting point, clamped to the middle half, leaves at most 3/4 of the
+# width, and every third step bisects, so three steps leave at most 9/32 of
+# it.  With p, q the meeting point's distances to the ends and both slopes at
+# most 1 in size, best - lower <= min(p, q) <= width / 2, which is within
+# _DROP_GAP once width <= 2e-13: after 3 ceil(ln(1e13) / ln(32 / 9)) = 72
+# steps.
+_STRONG_DROP_STEPS = 72
+
+
+def _value_and_slope(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...], lam: complex) -> tuple[float, complex]:
+    """phi(lam) = max-block ||x + lam y|| and w = u* y_b v, (u, v) the top
+    singular pair of the active block: phi's derivative along a step s in
+    lam is Re(s w)."""
+    val = -1.0
+    for bx, by in zip(xb, yb):
+        u, s, vh = np.linalg.svd(bx + lam * by)
+        if s[0] > val:
+            val, w = float(s[0]), complex(u[:, 0].conj() @ by @ vh[0].conj())
+    return val, w
+
 
 def _minimize_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tuple[complex, float]:
     """min over lam of the convex phi(lam) = max-block ||x + lam y|| for
     normalized inputs, by the central-cut ellipsoid method in (Re, Im) lam.
+    It serves the plain form; the strong form has _minimize_strong_drop.
 
     It starts from the disk |lam| <= 2, which holds every lam with
     phi(lam) <= phi(0) = 1 since ||lam y|| <= ||x|| + ||x + lam y||.  At each
@@ -360,11 +393,7 @@ def _minimize_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tu
     best_lam, best, lower = 0j, np.inf, -np.inf
     for _ in range(_DROP_STEPS):
         lam = complex(c[0], c[1])
-        val = -1.0
-        for bx, by in zip(xb, yb):
-            u, s, vh = np.linalg.svd(bx + lam * by)
-            if s[0] > val:
-                val, w = float(s[0]), complex(u[:, 0].conj() @ by @ vh[0].conj())
+        val, w = _value_and_slope(xb, yb, lam)
         if val < best:
             best_lam, best = lam, val
         g = np.array([w.real, -w.imag])
@@ -376,6 +405,42 @@ def _minimize_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tu
         c = c - pg / (3.0 * width)
         p = (4.0 / 3.0) * (p - (2.0 / 3.0) * np.outer(pg, pg) / (width * width))
     return best_lam, best
+
+
+def _minimize_strong_drop(xb: tuple[np.ndarray, ...], yb: tuple[np.ndarray, ...]) -> tuple[complex, float]:
+    """_minimize_drop for a strong direction y = P x, P >= 0 blockwise, as a
+    1-D search over phi(t) = max-block ||x - t y|| on t in [0, 2].
+
+    By the module docstring's identity the minimum over complex lam is
+    attained at a real lam = -t, t in [0, 2] (the disk of _minimize_drop).
+    phi is convex with slope -Re w at t (_value_and_slope at lam = -t).  The
+    bracket [lo, hi] holds a minimizer: the slope at lo is <= 0, and hi
+    starts at 2 with the supporting line t - 1 <= ||t y|| - ||x||.  The two
+    supporting lines meet at a point whose value bounds the minimum from
+    below; the next t is that point clamped to the bracket's middle half, or
+    every third step the midpoint.  Stops once the best value is within
+    _DROP_GAP of the bound, or after _STRONG_DROP_STEPS steps.
+    """
+    val, w = _value_and_slope(xb, yb, 0.0)
+    if w.real <= 0.0:
+        return 0j, val
+    best_t, best = 0.0, val
+    lo, hi = (0.0, val, -w.real), (2.0, 1.0, 1.0)
+    for step in range(_STRONG_DROP_STEPS):
+        (t_lo, f_lo, g_lo), (t_hi, f_hi, g_hi) = lo, hi
+        meet = (f_lo - f_hi + g_hi * t_hi - g_lo * t_lo) / (g_hi - g_lo)
+        if best - (f_lo + g_lo * (meet - t_lo)) <= _DROP_GAP:
+            break
+        quarter = 0.25 * (t_hi - t_lo)
+        t = t_lo + 2.0 * quarter if step % 3 == 2 else min(max(meet, t_lo + quarter), t_hi - quarter)
+        val, w = _value_and_slope(xb, yb, -t)
+        if val < best:
+            best_t, best = t, val
+        if w.real >= 0.0:
+            lo = (t, val, -w.real)
+        else:
+            hi = (t, val, -w.real)
+    return -best_t + 0j, best
 
 
 # --------------------------------------------------------------------------
@@ -393,14 +458,16 @@ def _decide(
     f: float,
     gap: float,
     witness,
+    minimize,
     tol: Tolerances,
     want_certificate: bool,
     y_exp: int = 0,
 ) -> OrthDecision:
     """Steps 2-3 of the decision procedure for nonzero x, y, given the
     attaining basis v of x, the support value f and the singular gap g.
-    ``witness()`` returns the compressed vector a True certificate lifts.
-    Certificates refer to the direction 2^y_exp y.
+    ``witness()`` returns the compressed vector a True certificate lifts, and
+    ``minimize`` is _minimize_drop or, for a strong direction,
+    _minimize_strong_drop.  Certificates refer to the direction 2^y_exp y.
 
     The fast rules bound the drop for normalized x, y.  V is the attaining
     cluster: ||x p|| <= 1 and ||x p||^2 >= 1 - tol.eig for unit p in V, and
@@ -438,7 +505,7 @@ def _decide(
     if est > 2.2 * tol.orth and not want_certificate:
         return OrthDecision(False, -float(est), False, None, support_min=float(f), drop=None)
 
-    lam_n, achieved_n = _minimize_drop(x.normalized_blocks(), y.normalized_blocks())
+    lam_n, achieved_n = minimize(x.normalized_blocks(), y.normalized_blocks())
     drop = max(0.0, 1.0 - achieved_n)
     nx = x.norm()
     lam = lam_n * nx / y.norm()
@@ -493,7 +560,18 @@ def bj_orthogonal(
     v, gap = _attaining_basis(x, tol)
     t = v.conj().T @ x.normalized_matrix().conj().T @ y.normalized_matrix() @ v
     f = _sweep_support(t)
-    return _decide(x, y, v, f, gap, lambda: _attain_zero(t, f), tol, want_certificate)
+    return _decide(x, y, v, f, gap, lambda: _attain_zero(t, f), _minimize_drop, tol, want_certificate)
+
+
+def _scaled_blocks(e: Element) -> tuple[float, int, tuple[np.ndarray, ...]]:
+    """(m, k, blocks of e 2^-k) with ||e|| = m 2^k (``math.frexp``): an
+    exact rescaling, derived once and kept on e."""
+
+    def derive():
+        m, k = math.frexp(e.norm())
+        return m, k, tuple(_read_only(np.ldexp(blk.view(float), -k).view(complex)) for blk in e.blocks)
+
+    return e._cached("scaled_blocks", derive)
 
 
 def strong_bj(
@@ -520,12 +598,10 @@ def strong_bj(
     na = a.norm()
     if na == 0.0:
         raise ZeroElement("orthogonality is undefined for the zero element")
-    (ma, ea), (mb, eb) = math.frexp(na), math.frexp(b.norm())
+    (ma, ea, sa), (mb, eb, sb) = _scaled_blocks(a), _scaled_blocks(b)
     k = 2 * eb + ea
     if k > 1024:
         raise ValueError(f"the strong direction b b* a overflows (binary exponent {k})")
-    sa = [np.ldexp(blk.view(float), -ea).view(complex) for blk in a.blocks]
-    sb = [np.ldexp(blk.view(float), -eb).view(complex) for blk in b.blocks]
     z = Element(a.shape, [q @ q.conj().T @ p for p, q in zip(sa, sb)])
     if z.norm() <= tol.ker * mb * mb * ma:
         return _vacuous_true(na)
@@ -533,7 +609,7 @@ def strong_bj(
     t = v.conj().T @ a.normalized_matrix().conj().T @ z.normalized_matrix() @ v
     w, u = np.linalg.eigh(_linalg.hermitian_part(t))
     f = min(-float(w[0]), 0.0)
-    return _decide(a, z, v, f, gap, lambda: u[:, 0], tol, want_certificate, k)
+    return _decide(a, z, v, f, gap, lambda: u[:, 0], _minimize_strong_drop, tol, want_certificate, k)
 
 
 def mutual_strong(

@@ -144,8 +144,9 @@ def test_uncertified_false_agrees_with_certified_on_small_gaps(name):
 def _gapped_pairs(count=100):
     """(x, y, gap, f, drop): x with a top singular value 1 and a relative
     gap 10^U(-4, 0) below it, y a plain or a strong (b b* a) direction with
-    support value f < 0, and the certified drop of the 2-D minimizer."""
-    from orthograph.orthogonality import _attaining_basis, _minimize_drop
+    support value f < 0, and the certified drop of the minimizer its form
+    uses: the 2-D search for plain, the 1-D search for strong directions."""
+    from orthograph.orthogonality import _attaining_basis, _minimize_drop, _minimize_strong_drop
 
     rng = np.random.default_rng(20261019)
     shapes = ([2], [3], [4], [2, 3], [3, 3])
@@ -164,11 +165,13 @@ def _gapped_pairs(count=100):
         b = random_element(shape, rng)
         if len(out) % 2:
             y, f = b, bj_orthogonal(x, b, want_certificate=False).support_min
+            minimize = _minimize_drop
         else:
             y, f = strong_direction(x, b), strong_bj(x, b, want_certificate=False).support_min
+            minimize = _minimize_strong_drop
         if f is None or f >= 0.0:
             continue
-        drop = 1.0 - _minimize_drop(x.normalized_blocks(), y.normalized_blocks())[1]
+        drop = 1.0 - minimize(x.normalized_blocks(), y.normalized_blocks())[1]
         out.append((x, y, _attaining_basis(x, TOL)[1], f, drop))
     return out
 
@@ -504,6 +507,73 @@ def test_strong_certificates_reverify_and_match_uncertified_verdicts():
                 assert abs(d.certificate.pairing) <= 1.1e-9 * x.norm() * z.norm()
             regimes.add((d.verdict, d.drop is None))
     assert regimes == {(True, True), (True, False), (False, False)}
+
+
+def _minimizer_pairs():
+    """Per shape: a deficient vertex against a deficient, a full and a
+    near-witness partner (witness pushed off by 1e-4)."""
+    from orthograph import non_isolated_witness
+
+    pairs = []
+    for i, shape in enumerate(([3], [4], [2, 3], [4, 5], [8, 8, 8, 8])):
+        a = sample_element(shape, "deficient:1", 7100 + i)
+        g = sample_element(shape, "full", 7200 + i)
+        w = non_isolated_witness(a)
+        near = w + (1e-4 * w.norm() / g.norm()) * g
+        pairs += [(a, sample_element(shape, "deficient:1", 7300 + i)), (a, g), (a, near)]
+    return pairs
+
+
+def test_strong_minimizer_agrees_with_the_2d_search(monkeypatch):
+    from orthograph import orthogonality
+
+    calls = []
+    value_and_slope = orthogonality._value_and_slope
+
+    def counted(*args):
+        calls[-1] += 1
+        return value_and_slope(*args)
+
+    monkeypatch.setattr(orthogonality, "_value_and_slope", counted)
+
+    def both(x, y):
+        xb, yb = x.normalized_blocks(), y.normalized_blocks()
+        calls.append(0)
+        lam, best = orthogonality._minimize_strong_drop(xb, yb)
+        steps = calls[-1]
+        assert steps <= orthogonality._STRONG_DROP_STEPS + 1
+        assert lam.imag == 0.0 and -2.0 <= lam.real <= 0.0
+        assert abs(best - orthogonality._minimize_drop(xb, yb)[1]) <= 1e-13
+        return lam, best, steps
+
+    certified = uncertified = 0
+    for a, b in _minimizer_pairs():
+        for x, y in ((a, b), (b, a)):
+            z = strong_direction(x, y)
+            best = both(x, z)[1]
+            for want_certificate in (True, False):
+                d = strong_bj(x, y, want_certificate=want_certificate)
+                if d.drop is None:
+                    continue
+                assert abs(d.drop - (1.0 - best)) <= 1e-13
+                if want_certificate:
+                    assert isinstance(d.certificate, MinimizingScalar) != d.verdict
+                    assert verify_certificate(d, x, z)
+                    certified += 1
+                else:
+                    uncertified += 1
+    assert certified == 30 and uncertified == 10
+
+    # phi reaches 0: e11 - t e11 vanishes at t = 1
+    e11, i2 = e11_m2(), Element.identity([2])
+    assert both(e11, strong_direction(e11, i2))[:2] == (-1.0 + 0j, 0.0)
+    d = strong_bj(e11, i2)
+    assert (d.verdict, d.drop, d.certificate.achieved) == (False, 1.0, 0.0)
+    assert verify_certificate(d, e11, strong_direction(e11, i2))
+
+    # the minimum sits at t = 0: the top singular pair of x misses y
+    x = Element([2], [np.diag([1.0, 0.5])])
+    assert both(x, strong_direction(x, e22_m2())) == (0j, 1.0, 1)
 
 
 def test_memoized_norm_does_not_leak_into_derived_elements(rng):
